@@ -8,7 +8,6 @@ usage.  Output is deterministic for a fixed configuration.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .scalar import HSeries, HalfInt, spins_up_to, weights, sqrt_fraction
@@ -20,17 +19,14 @@ from . import weyl
 
 
 class RunConfig:
-    """Bounds and rendering options shared by the subcommands."""
+    """Bounds and options shared by the verification suites."""
 
-    def __init__(self, order=8, max_spin=HalfInt(4), fmt="text",
-                 strict=False, jobs=1):
+    def __init__(self, order=8, max_spin=HalfInt(4), strict=False):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
         self.order = order
         self.max_spin = HalfInt.of(max_spin)
-        self.fmt = fmt
         self.strict = strict
-        self.jobs = max(1, jobs)
 
     @property
     def product_spin(self):
@@ -184,14 +180,12 @@ def suite_examples(cfg):
 def suite_product_law(cfg):
     lim = cfg.product_spin
     params = {"max_spin": str(lim), "order": str(cfg.order)}
-    rows = []
-    for name, (ok, detail) in symplecton.product_law_suite(lim, cfg.order).items():
-        rows.append(_row("product-law", name, "product-law", params, ok, detail))
-    try:
-        table = symplecton.ratio_table(lim, cfg.order)
-    except ValueError as err:
-        rows.append(_row("product-law", "calibration_table",
-                         "product-calibration", params, False, str(err)))
+    checks, table = symplecton.product_law_suite(lim, cfg.order)
+    rows = [_row("product-law", name, "product-law", params, ok, detail)
+            for name, (ok, detail) in checks.items()]
+    if table is None:
+        rows.append(_row("product-law", "calibration_table", "product-calibration",
+                         params, False, checks["ratio_table"][1]))
         return rows
     one = sqrt_fraction(Fraction(1))
     for (j, jp_, k), value in sorted(table.items(),
@@ -403,19 +397,13 @@ def cmd_verify(args, parser):
             parser.error(f"unknown suite {name!r}; see list-suites")
         if name not in seen:
             seen.append(name)
-    cfg = RunConfig(order=args.order, max_spin=args.max_spin, fmt=args.format,
-                    strict=args.strict_coefficients, jobs=args.jobs)
+    cfg = RunConfig(order=args.order, max_spin=args.max_spin,
+                    strict=args.strict_coefficients)
 
-    funcs = [SUITES[name][1] for name in seen]
-    if cfg.max_spin.twice <= 0:
-        results = [[] for _ in funcs]
-    elif cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(lambda f: f(cfg), funcs))
-    else:
-        results = [f(cfg) for f in funcs]
-
-    rows = [row for chunk in results for row in chunk]
+    rows = []
+    if cfg.max_spin.twice > 0:
+        for name in seen:
+            rows.extend(SUITES[name][1](cfg))
     failed = [row for row in rows if not row["pass"]]
     if args.format == "json":
         report = {"order": cfg.order, "max_spin": str(cfg.max_spin),
@@ -504,8 +492,6 @@ def build_parser():
                      help="largest spin label exercised (default 2)")
     ver.add_argument("--suite", action="append",
                      help="suite name (repeatable; default all)")
-    ver.add_argument("--jobs", type=int, default=1,
-                     help="run suites concurrently with this many workers")
     ver.add_argument("--strict-coefficients", action="store_true",
                      help="fail when a calibration ratio differs from 1")
 

@@ -46,7 +46,7 @@ class Matrix:
     def get(self, i, j):
         return self.entries.get((i, j), HSeries.zero(self.order))
 
-    def _check(self, other, square=False):
+    def _check(self, other):
         if self.order != other.order:
             raise ValueError(f"matrix order mismatch {self.order} vs {other.order}")
 
@@ -134,43 +134,39 @@ class Matrix:
         return Matrix(self.nrows, self.ncols, self.order - k,
                       {key: v.divide_exact(k) for key, v in self.entries.items()})
 
+    def _nilpotent_series(self, coeff):
+        """sum_k coeff(k) N^k for this matrix N, stopping once N^k vanishes.
+
+        A coefficient of 0 or +-1 costs nothing or a negation, never a scale.
+        """
+        n, order = self.nrows, self.order
+        if n != self.ncols:
+            raise ValueError(f"power series of a non-square {n}x{self.ncols} matrix")
+        total = Matrix.zero(n, n, order)
+        power = Matrix.identity(n, order)
+        for k in range(n * (order + 2) + 2):
+            if k:
+                power = power * self
+                if power.is_zero():
+                    return total
+            c = coeff(k)
+            if c:
+                total = total + (power if c == 1 else -power if c == -1 else power.scale(c))
+        raise ValueError(f"{n}x{n} matrix is not nilpotent at order {order}")
+
     def exp_nilpotent(self):
         """exp of a nilpotent matrix; raises if powers fail to vanish."""
-        if self.nrows != self.ncols:
-            raise ValueError("exp of a non-square matrix")
-        total = Matrix.identity(self.nrows, self.order)
-        term = Matrix.identity(self.nrows, self.order)
-        for k in range(1, self.nrows * (self.order + 2) + 2):
-            term = term * self
-            term = term.scale(Fraction(1, k))
-            if term.is_zero():
-                return total
-            total = total + term
-        raise ValueError("matrix is not nilpotent")
+        return self._nilpotent_series(lambda k: Fraction(1, fact(k)))
 
     def log_unipotent(self):
         """log of I + N with N nilpotent."""
         n = self - Matrix.identity(self.nrows, self.order)
-        total = Matrix.zero(self.nrows, self.ncols, self.order)
-        power = Matrix.identity(self.nrows, self.order)
-        for k in range(1, self.nrows * (self.order + 2) + 2):
-            power = power * n
-            if power.is_zero():
-                return total
-            total = total + power.scale(Fraction(-1 if k % 2 == 0 else 1, k))
-        raise ValueError("matrix is not unipotent")
+        return n._nilpotent_series(lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
     def inverse_unipotent(self):
         """Exact inverse of I + N with N nilpotent (Neumann series)."""
         n = self - Matrix.identity(self.nrows, self.order)
-        total = Matrix.identity(self.nrows, self.order)
-        power = Matrix.identity(self.nrows, self.order)
-        for k in range(1, self.nrows * (self.order + 2) + 2):
-            power = power * n
-            if power.is_zero():
-                return total
-            total = total + (power if k % 2 == 0 else -power)
-        raise ValueError("matrix is not unipotent")
+        return n._nilpotent_series(lambda k: (-1) ** k)
 
     def at_h0(self):
         """Constant term: {key: RadicalSum}."""
@@ -238,14 +234,8 @@ def spin_rep(j, order):
                               HSeries.constant(ladder_coeff(j, m, -1), order)
                               for m in weights(j) if m > -j})
     # s = -log(1 - 2h Jp) = sum_k (2h Jp)^k / k, a finite sum by nilpotency
-    x = jp.scale(HSeries.h_power(1, order, 2))
-    sigma = Matrix.zero(n, n, order)
-    power = Matrix.identity(n, order)
-    for k in range(1, n + 1):
-        power = power * x
-        if power.is_zero():
-            break
-        sigma = sigma + power.scale(Fraction(1, k))
+    sigma = jp.scale(HSeries.h_power(1, order, 2))._nilpotent_series(
+        lambda k: Fraction(1, k) if k else 0)
     return Rep(j0, jp, jm, sigma, order)
 
 

@@ -1,8 +1,8 @@
 """Classical sl(2) coupling data over exact scalars.
 
 Clebsch-Gordan coefficients in the Condon-Shortley convention, Racah W and 6j
-coefficients, the triangle coefficient nabla used by the symplecton product
-law, and the monomial basis of weight polynomials in two commuting variables.
+coefficients, and the triangle coefficient nabla used by the symplecton
+product law.
 
 All values are RadicalSum (a single term q*sqrt(r) for every individual
 coefficient here), computed from the standard single-sum closed forms.
@@ -142,88 +142,6 @@ def bracket_coeff(k, j, jp):
         return RadicalSum.zero()
     two_pow = Fraction(2) ** (k - j - jp).as_int()
     return nabla(k, j, jp) * sqrt_fraction(Fraction(1, k.twice + 1)) * two_pow
-
-
-class PhiPoly:
-    """Commutative polynomial in two variables xi, eta with RadicalSum coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if not isinstance(c, RadicalSum):
-                    c = RadicalSum.from_rational(c)
-                if not c.is_zero():
-                    self.terms[key] = c
-
-    @staticmethod
-    def zero():
-        return PhiPoly()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, RadicalSum.zero()) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return PhiPoly(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        out = {}
-        for (p1, q1), c1 in self.terms.items():
-            for (p2, q2), c2 in other.terms.items():
-                key = (p1 + p2, q1 + q2)
-                s = out.get(key, RadicalSum.zero()) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return PhiPoly(out)
-
-    def scale(self, c):
-        if not isinstance(c, RadicalSum):
-            c = RadicalSum.from_rational(c)
-        return PhiPoly({k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, PhiPoly) and self.terms == other.terms
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (p, q) in sorted(self.terms, reverse=True):
-            c = str(self.terms[(p, q)])
-            if " " in c:
-                c = f"({c})"
-            mono = "*".join(s for s, e in (("xi", p), ("eta", q)) if e
-                            for s in [s if e == 1 else f"{s}^{e}"])
-            if not mono:
-                parts.append(c)
-            else:
-                parts.append(mono if c == "1" else f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
-
-
-def phi_basis(j, m):
-    """Normalized weight monomial xi^(j+m) eta^(j-m) / sqrt((j+m)!(j-m)!)."""
-    j, m = HalfInt.of(j), HalfInt.of(m)
-    p, q = (j + m).as_int(), (j - m).as_int()
-    if p < 0 or q < 0:
-        raise ValueError(f"|m| > j: j={j}, m={m}")
-    return PhiPoly({(p, q): sqrt_fraction(Fraction(1, fact(p) * fact(q)))})
 
 
 def verify_racah_identity(a, b, c, e):

@@ -238,6 +238,22 @@ def product_oracle(j, m, jp_, mp, order):
     return decompose_twisted(w)
 
 
+def _spin_pairs(max_j):
+    spins = spins_up_to(max_j, HalfInt(1))
+    return [(j, jp_) for j in spins for jp_ in spins]
+
+
+def _pair_products(j, jp_, order):
+    """Every product P~_j^m P~_j'^m' of one spin pair, keyed by (m, m')."""
+    return {(m, mp): h_symplecton(j, m, order) * h_symplecton(jp_, mp, order)
+            for m in weights(j) for mp in weights(jp_)}
+
+
+def _expand(products):
+    """The twisted-basis expansion of each product, under the same keys."""
+    return {key: decompose_twisted(w) for key, w in products.items()}
+
+
 def product_formula_component(j, m, jp_, mp, k, mu, order):
     """Predicted coefficient of the (k, mu) component of the product.
 
@@ -263,6 +279,10 @@ def product_intermediate_check(j, m, jp_, mp, order):
     """
     j, m, jp_, mp = (HalfInt.of(x) for x in (j, m, jp_, mp))
     lhs = h_symplecton(j, m, order) * h_symplecton(jp_, mp, order)
+    return _intermediate_holds(j, m, jp_, mp, lhs, order)
+
+
+def _intermediate_holds(j, m, jp_, mp, lhs, order):
     rhs = WeylElement.zero(order)
     for np_ in half_range(mp, jp_):
         entry = exp_sigma_entry(jp_, np_, m.as_fraction(), mp, order)
@@ -281,17 +301,19 @@ def product_support_check(j, jp_, order):
     survives.
     """
     j, jp_ = HalfInt.of(j), HalfInt.of(jp_)
-    for m in weights(j):
-        for mp in weights(jp_):
-            decomp = product_oracle(j, m, jp_, mp, order)
-            for (k, mu), c in decomp.items():
-                if not triangle_ok(j, jp_, k):
-                    return False, f"spin {k} outside triangle at ({j},{m};{jp_},{mp})"
-                np_ = mu - m
-                if not (mp <= np_ <= jp_):
-                    return False, f"weight {mu} outside band at ({j},{m};{jp_},{mp})"
-                if mu != m + mp and not c.at_h0().is_zero():
-                    return False, f"classical limit leaks to weight {mu}"
+    return _support(j, jp_, _expand(_pair_products(j, jp_, order)))
+
+
+def _support(j, jp_, expansions):
+    for (m, mp), decomp in expansions.items():
+        for (k, mu), c in decomp.items():
+            if not triangle_ok(j, jp_, k):
+                return False, f"spin {k} outside triangle at ({j},{m};{jp_},{mp})"
+            np_ = mu - m
+            if not (mp <= np_ <= jp_):
+                return False, f"weight {mu} outside band at ({j},{m};{jp_},{mp})"
+            if mu != m + mp and not c.at_h0().is_zero():
+                return False, f"classical limit leaks to weight {mu}"
     return True, "support confined to the coupling triangle and weight band"
 
 
@@ -302,6 +324,10 @@ def twisted_sum_collapse_check(j, jp_, order):
     using F_{m,m'; l,l'} = delta_{m,l} <j' m'|exp(-l s)|j' l'>.
     """
     j, jp_ = HalfInt.of(j), HalfInt.of(jp_)
+    return _collapse(j, jp_, _pair_products(j, jp_, order), order)
+
+
+def _collapse(j, jp_, products, order):
     for l in weights(j):
         for lp in weights(jp_):
             lhs = WeylElement.zero(order)
@@ -309,8 +335,7 @@ def twisted_sum_collapse_check(j, jp_, order):
                 entry = exp_sigma_entry(jp_, mp, -l.as_fraction(), lp, order)
                 if entry.is_zero():
                     continue
-                lhs = lhs + (h_symplecton(j, l, order)
-                             * h_symplecton(jp_, mp, order)).scale(entry)
+                lhs = lhs + products[(l, mp)].scale(entry)
             rhs = (classical_symplecton(j, l, order) * classical_symplecton(jp_, lp, order)) \
                 * exp_m_sigma(l + lp, order)
             if lhs != rhs:
@@ -351,40 +376,40 @@ def ratio_table(max_j, order):
     h-dependent.
     """
     table = {}
-    spins = spins_up_to(max_j, HalfInt(1))
-    for j in spins:
-        for jp_ in spins:
-            oracles = {}
-            for m in weights(j):
-                for mp in weights(jp_):
-                    oracles[(m, mp)] = product_oracle(j, m, jp_, mp, order)
-            for k in half_range(HalfInt(abs(j.twice - jp_.twice)), j + jp_):
-                ratio = None
-                for (m, mp), decomp in oracles.items():
-                    for mu in weights(k):
-                        f = product_formula_component(j, m, jp_, mp, k, mu, order)
-                        o = decomp.get((k, mu), HSeries.zero(order))
-                        if f.is_zero():
-                            if not o.is_zero():
-                                raise ValueError(
-                                    f"oracle has a component the formula misses: "
-                                    f"({j},{m};{jp_},{mp}) -> ({k},{mu})")
-                            continue
-                        t = f.valuation()
-                        fc = f.coeffs[t]
-                        r = o.divide_exact(t).scale(fc.invert())
-                        if any(not c.is_zero() for c in r.coeffs[1:]):
-                            raise ValueError(
-                                f"h-dependent ratio at ({j},{m};{jp_},{mp}) -> ({k},{mu})")
-                        r0 = r.at_h0()
-                        if ratio is None:
-                            ratio = r0
-                        elif ratio != r0:
-                            raise ValueError(
-                                f"weight-dependent ratio at ({j},{jp_},{k}): "
-                                f"{ratio} vs {r0} at m={m}, m'={mp}, mu={mu}")
-                if ratio is not None:
-                    table[(j, jp_, k)] = ratio
+    for j, jp_ in _spin_pairs(max_j):
+        table.update(_pair_ratios(j, jp_, _expand(_pair_products(j, jp_, order)), order))
+    return table
+
+
+def _pair_ratios(j, jp_, expansions, order):
+    table = {}
+    for k in half_range(HalfInt(abs(j.twice - jp_.twice)), j + jp_):
+        ratio = None
+        for (m, mp), decomp in expansions.items():
+            for mu in weights(k):
+                f = product_formula_component(j, m, jp_, mp, k, mu, order)
+                o = decomp.get((k, mu), HSeries.zero(order))
+                if f.is_zero():
+                    if not o.is_zero():
+                        raise ValueError(
+                            f"oracle has a component the formula misses: "
+                            f"({j},{m};{jp_},{mp}) -> ({k},{mu})")
+                    continue
+                t = f.valuation()
+                fc = f.coeffs[t]
+                r = o.divide_exact(t).scale(fc.invert())
+                if any(not c.is_zero() for c in r.coeffs[1:]):
+                    raise ValueError(
+                        f"h-dependent ratio at ({j},{m};{jp_},{mp}) -> ({k},{mu})")
+                r0 = r.at_h0()
+                if ratio is None:
+                    ratio = r0
+                elif ratio != r0:
+                    raise ValueError(
+                        f"weight-dependent ratio at ({j},{jp_},{k}): "
+                        f"{ratio} vs {r0} at m={m}, m'={mp}, mu={mu}")
+        if ratio is not None:
+            table[(j, jp_, k)] = ratio
     return table
 
 
@@ -396,72 +421,87 @@ def pairing_check(max_j, order):
     depends on the spin alone.  Returns (ok, detail, {j: c_j}); the constants
     are pinned by the diagonal weights, where the twist entry is 1.
     """
-    spins = spins_up_to(max_j, HalfInt(1))
-    consts = {}
+    return _pairing_outcome([
+        (j, *_pair_pairing(j, jp_, _expand(_pair_products(j, jp_, order)), order))
+        for j, jp_ in _spin_pairs(max_j)])
 
-    def scalar_part(j, m, jp_, mp):
-        sign = Fraction(-1) ** ((j - m).as_int())
-        w = (h_symplecton(j, -m, order) * h_symplecton(jp_, mp, order)).scale(sign)
-        return decompose_twisted(w).get((HalfInt(0), HalfInt(0)), HSeries.zero(order))
 
-    for j in spins:
-        ref = scalar_part(j, j, j, j)
+def _pair_pairing(j, jp_, expansions, order):
+    """Pairing on one spin pair: (c_j or None, diagonal failure, weight failure).
+
+    The scalar part of a reflected product is read off the expansion of the
+    unreflected one, P~_j^(-m) P~_j'^m', which is exact because the
+    expansion is linear.
+    """
+    zero = HSeries.zero(order)
+
+    def scalar_part(m, mp):
+        c = expansions[(-m, mp)].get((HalfInt(0), HalfInt(0)), zero)
+        return -c if (j - m).as_int() % 2 else c
+
+    const = None
+    if j == jp_:
+        ref = scalar_part(j, j)
         if any(not c.is_zero() for c in ref.coeffs[1:]) or ref.at_h0().is_zero():
-            return False, f"diagonal pairing at j={j} is not a nonzero constant", consts
-        consts[j] = ref.at_h0()
-    for j in spins:
-        for jp_ in spins:
-            for m in weights(j):
-                for mp in weights(jp_):
-                    c00 = scalar_part(j, m, jp_, mp)
-                    if j != jp_:
-                        expect = HSeries.zero(order)
-                    else:
-                        entry = exp_sigma_entry(j, m, -m.as_fraction(), mp, order)
-                        expect = entry.scale(consts[j])
-                    if c00 != expect:
-                        return False, f"pairing fails at ({j},{m};{jp_},{mp})", consts
-    return True, "scalar pairing is a spin constant times the twist entry", consts
+            return None, f"diagonal pairing at j={j} is not a nonzero constant", None
+        const = ref.at_h0()
+    for m in weights(j):
+        for mp in weights(jp_):
+            if const is None:
+                expect = zero
+            else:
+                expect = exp_sigma_entry(j, m, -m.as_fraction(), mp, order).scale(const)
+            if scalar_part(m, mp) != expect:
+                return const, None, f"pairing fails at ({j},{m};{jp_},{mp})"
+    return const, None, None
+
+
+def _pairing_outcome(results):
+    """Fold per-pair (j, c_j, diagonal failure, weight failure) into
+    (ok, detail, consts); a bad diagonal outranks every weight failure."""
+    consts = {j: c for j, c, _, _ in results if c is not None}
+    bad = (next((d for _, _, d, _ in results if d), None)
+           or next((w for _, _, _, w in results if w), None))
+    return bad is None, bad or "scalar pairing is a spin constant times the twist entry", consts
+
+
+def _verdict(bad, good):
+    return bad is None, bad or good
 
 
 def product_law_suite(max_j, order):
-    """All product-law layers for spins up to max_j; {check: (ok, detail)}."""
-    out = {}
-    spins = spins_up_to(max_j, HalfInt(1))
-    ok = True
-    bad = ""
-    for j in spins:
-        for jp_ in spins:
-            for m in weights(j):
-                for mp in weights(jp_):
-                    if not product_intermediate_check(j, m, jp_, mp, order):
-                        ok, bad = False, f"({j},{m};{jp_},{mp})"
-    out["intermediate_identity"] = (ok, bad or "twist redistribution identity holds")
+    """All product-law layers for spins up to max_j, in one pass over spin pairs.
 
-    ok, detail = True, "support confined"
-    for j in spins:
-        for jp_ in spins:
-            got = product_support_check(j, jp_, order)
-            if not got[0]:
-                ok, detail = got
-    out["support"] = (ok, detail)
+    Each pair's products and their twisted expansions are built once and
+    every layer is read off those two tables.  Returns ({check: (ok,
+    detail)}, ratio table), the table being None when its layer fails.
+    """
+    bad_product = bad_support = bad_collapse = ratio_error = None
+    table, pairing = {}, []
+    for j, jp_ in _spin_pairs(max_j):
+        products = _pair_products(j, jp_, order)
+        expansions = _expand(products)
+        for (m, mp), w in products.items():
+            if not _intermediate_holds(j, m, jp_, mp, w, order):
+                bad_product = f"({j},{m};{jp_},{mp})"
+        ok, detail = _support(j, jp_, expansions)
+        bad_support = bad_support if ok else detail
+        ok, detail = _collapse(j, jp_, products, order)
+        bad_collapse = bad_collapse if ok else detail
+        if ratio_error is None:
+            try:
+                table.update(_pair_ratios(j, jp_, expansions, order))
+            except ValueError as err:
+                ratio_error = str(err)
+        pairing.append((j, *_pair_pairing(j, jp_, expansions, order)))
 
-    ok, detail = True, "twist-summed products collapse"
-    for j in spins:
-        for jp_ in spins:
-            got = twisted_sum_collapse_check(j, jp_, order)
-            if not got[0]:
-                ok, detail = got
-    out["twisted_sum_collapse"] = (ok, detail)
-
-    table = None
-    try:
-        table = ratio_table(max_j, order)
-        out["ratio_table"] = (True, f"{len(table)} spin triples calibrated")
-    except ValueError as err:
-        out["ratio_table"] = (False, str(err))
-
-    ok, detail, consts = pairing_check(max_j, order)
+    out = {"intermediate_identity": _verdict(bad_product, "twist redistribution identity holds"),
+           "support": _verdict(bad_support, "support confined"),
+           "twisted_sum_collapse": _verdict(bad_collapse, "twist-summed products collapse"),
+           "ratio_table": _verdict(ratio_error, f"{len(table)} spin triples calibrated")}
+    if ratio_error is not None:
+        table = None
+    ok, detail, consts = _pairing_outcome(pairing)
     out["pairing"] = (ok, detail)
 
     # The pairing constant and the scalar calibration of the product law
@@ -473,7 +513,7 @@ def product_law_suite(max_j, order):
             if c != want:
                 ok, detail = False, f"constant at j={j} is {c}, product law gives {want}"
         out["pairing_normalization"] = (ok, detail)
-    return out
+    return out, table
 
 
 def weight_one_commutator_check(order):

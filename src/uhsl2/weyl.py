@@ -222,7 +222,7 @@ class OscElement(_NormalPoly):
     def _reorder_terms(p1, q1, p2, q2):
         out = []
         for (p, q, t), coeff in _osc_reorder(q1, p2).items():
-            out.append(((p1 + p, q + q2), _h_monomial(t, coeff)))
+            out.append(((p1 + p, q + q2), _HMono(t, coeff)))
         return out
 
     def substitute_abar(self, shift):
@@ -241,10 +241,6 @@ class _HMono:
 
     def __init__(self, t, coeff):
         self.t, self.coeff = t, coeff
-
-
-def _h_monomial(t, coeff):
-    return _HMono(t, coeff)
 
 
 def _resolve_extra(c12, extra):
@@ -282,11 +278,6 @@ def _osc_reorder(q, p):
     for (pp, qq, t), c in _osc_reorder(q - 1, p + 1).items():
         put((pp, qq, t + 1), -c * p)
     return out
-
-
-def weyl_multiply(x, y):
-    """Product of two Weyl-algebra elements (also available as x * y)."""
-    return x * y
 
 
 def weyl_commutator(x, y):

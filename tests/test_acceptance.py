@@ -19,7 +19,7 @@ from uhsl2.reps import (Matrix, cg_matrix, cocycle_check, coupled_basis_suite,
                         twist_matrix_formula, twist_matrix_oracle,
                         twist_symmetry_check, twisted_hopf_suite)
 from uhsl2.symplecton import (generating_function_check, h_symplecton_forms_check,
-                              hypergeometric_form, product_law_suite, ratio_table,
+                              hypergeometric_form, product_law_suite,
                               symmetry_check, tensor_operator_check,
                               decompose_twisted)
 from uhsl2.slh2 import (GROUP_GENS, covariance_check, dfunction,
@@ -154,9 +154,9 @@ def test_09_explicit_low_spin_examples():
 
 def test_10_product_expansion_structure():
     lim = HalfInt(3)
-    for name, (ok, detail) in product_law_suite(lim, ORDER).items():
+    checks, table = product_law_suite(lim, ORDER)
+    for name, (ok, detail) in checks.items():
         assert ok, f"{name}: {detail}"
-    table = ratio_table(lim, ORDER)
     # every triangle-admissible spin triple carries one constant ratio
     spins = spins_up_to(lim, HALF)
     for j in spins:

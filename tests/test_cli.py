@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from uhsl2.cli import main
+from uhsl2 import symplecton
+from uhsl2.cli import RunConfig, main, suite_product_law
+from uhsl2.scalar import HalfInt
 
 
 def run(capsys, *argv):
@@ -75,14 +77,32 @@ def test_verify_json_schema_and_determinism(capsys):
         assert set(row) == {"suite", "check", "ref", "params", "pass", "detail"}
 
 
-def test_verify_parallel_matches_serial(capsys):
-    args = ("verify", "-H", "2", "--max-spin", "1", "--suite", "twist",
-            "--suite", "ohn", "--format", "json")
-    code, serial = run(capsys, *args)
-    assert code == 0
-    code, parallel = run(capsys, *args, "--jobs", "3")
-    assert code == 0
-    assert serial == parallel
+def test_product_law_expands_each_product_once(monkeypatch):
+    # spins 1/2 and 1 give 25 distinct (j, m, j', m'); each product is
+    # expanded once and the calibration rows reuse the suite's ratio table
+    calls = []
+    expand = symplecton.decompose_twisted
+
+    def counted(w):
+        calls.append(w)
+        return expand(w)
+
+    def forbidden(*args):
+        raise AssertionError("ratio_table recomputes the product table")
+
+    monkeypatch.setattr(symplecton, "decompose_twisted", counted)
+    monkeypatch.setattr(symplecton, "ratio_table", forbidden)
+    rows = suite_product_law(RunConfig(order=2, max_spin=HalfInt(2)))
+    assert len(calls) == 25
+    assert all(row["pass"] for row in rows)
+    monkeypatch.undo()
+    table = symplecton.ratio_table(HalfInt(2), 2)
+    want = [({"j": str(j), "jp": str(jp_), "k": str(k)}, f"ratio = {value}")
+            for (j, jp_, k), value in sorted(
+                table.items(), key=lambda kv: tuple(x.twice for x in kv[0]))]
+    got = [(row["params"], row["detail"]) for row in rows
+           if row["check"] == "calibration_ratio"]
+    assert got == want
 
 
 def test_strict_coefficients_fails_on_convention_ratio(capsys):

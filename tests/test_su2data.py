@@ -4,8 +4,8 @@ import random
 from fractions import Fraction
 
 from uhsl2.scalar import HalfInt, RadicalSum, half_range, radical_normalize, spins_up_to, sqrt_fraction, weights
-from uhsl2.su2data import (bracket_coeff, cgc, fact, nabla, phi_basis,
-                           racah_w, sixj, triangle_ok, verify_racah_identity)
+from uhsl2.su2data import (bracket_coeff, cgc, fact, nabla, racah_w, sixj,
+                           triangle_ok, verify_racah_identity)
 
 H12 = HalfInt(1)  # spin 1/2
 
@@ -148,13 +148,3 @@ def test_fact_and_triangle():
     assert triangle_ok(H12, H12, 1)
     assert not triangle_ok(H12, H12, H12)  # half-integer perimeter
     assert not triangle_ok(0, 1, 2)
-
-
-def test_phi_basis():
-    phi = phi_basis(1, 0)
-    assert phi.terms == {(1, 1): RadicalSum.one()}
-    top = phi_basis(H12, H12) * phi_basis(H12, -H12)
-    assert top == phi
-    phi2 = phi_basis(2, 0)
-    assert phi2.terms == {(2, 2): RadicalSum({1: Fraction(1, 2)})}
-    assert str(phi_basis(1, 1)) == "1/2*sqrt(2)*xi^2"

@@ -144,7 +144,7 @@ def test_generating_functions():
 
 
 def test_product_law_suite_spin_half():
-    out = product_law_suite(HalfInt(1), 4)
+    out, _ = product_law_suite(HalfInt(1), 4)
     for check, (ok, detail) in sorted(out.items()):
         assert ok, f"{check}: {detail}"
 
