@@ -434,8 +434,19 @@ def cmd_list_suites():
 # argument parsing
 
 
+def _nonnegative(parse):
+    """An argparse type: parse the text, reject a negative value."""
+    def checked(text):
+        value = parse(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+        return value
+    checked.__name__ = parse.__name__
+    return checked
+
+
 def _add_common(p):
-    p.add_argument("-H", "--order", type=int, default=8,
+    p.add_argument("-H", "--order", type=_nonnegative(int), default=8,
                    help="truncation order in the deformation parameter")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -449,11 +460,12 @@ def build_parser():
 
     comp = sub.add_parser("compute", help="construct one object and print it")
     objs = comp.add_subparsers(dest="object", required=True)
-    spin = HalfInt.parse
+    spin = _nonnegative(HalfInt.parse)
+    weight = HalfInt.parse
 
     def with_jm(p):
         p.add_argument("--j", type=spin, required=True, help="spin label")
-        p.add_argument("--m", type=spin, required=True,
+        p.add_argument("--m", type=weight, required=True,
                        help="weight label (write --m=-1/2 for negatives)")
 
     p = objs.add_parser("symplecton", help="classical polynomial at (j, m)")
@@ -472,8 +484,10 @@ def build_parser():
         p.add_argument("--j2", type=spin, required=True)
         _add_common(p)
     p = objs.add_parser("cgc", help="one vector-coupling coefficient")
-    for flag in ("--j1", "--j2", "--j", "--m1", "--m2"):
+    for flag in ("--j1", "--j2", "--j"):
         p.add_argument(flag, type=spin, required=True)
+    for flag in ("--m1", "--m2"):
+        p.add_argument(flag, type=weight, required=True)
     _add_common(p)
     p = objs.add_parser("racah", help="one Racah W coefficient")
     for flag in ("--a", "--b", "--c", "--d", "--e", "--f"):

@@ -13,26 +13,29 @@ terminates because its argument is nilpotent.
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalar import HalfInt, HSeries, RadicalSum, sqrt_fraction, weights
-from .su2data import cgc, fact, half_range, triangle_ok
+from .scalar import (SCALARS, HalfInt, HSeries, SeriesCombination, add_into,
+                     sqrt_fraction, weights)
+from .su2data import cgc, fact, half_range
 from .weyl import _gen_binom, ladder_coeff
 
 
-class Matrix:
-    """Sparse matrix with HSeries entries."""
+class Matrix(SeriesCombination):
+    """Sparse matrix {(row, col): HSeries}; its space is (nrows, ncols, order)."""
 
-    __slots__ = ("nrows", "ncols", "order", "entries")
+    __slots__ = ()
 
-    def __init__(self, nrows, ncols, order, entries=None):
-        self.nrows, self.ncols, self.order = nrows, ncols, order
-        self.entries = {}
-        for key, v in (entries or {}).items():
-            if not isinstance(v, HSeries):
-                v = HSeries.constant(v, order)
-            if v.order != order:
-                raise ValueError(f"entry order {v.order} != matrix order {order}")
-            if not v.is_zero():
-                self.entries[key] = v
+    def __init__(self, nrows, ncols, order, terms=None):
+        super().__init__((nrows, ncols, order), terms)
+
+    nrows = property(lambda self: self.space[0])
+    ncols = property(lambda self: self.space[1])
+    order = property(lambda self: self.space[2])
+
+    @property
+    def unit_keys(self):
+        if self.nrows != self.ncols:
+            raise ValueError(f"a {self.nrows}x{self.ncols} matrix space has no unit")
+        return [(i, i) for i in range(self.nrows)]
 
     @staticmethod
     def zero(nrows, ncols, order):
@@ -40,99 +43,52 @@ class Matrix:
 
     @staticmethod
     def identity(n, order):
-        one = HSeries.one(order)
-        return Matrix(n, n, order, {(i, i): one for i in range(n)})
+        return Matrix.zero(n, n, order).constant(1)
 
     def get(self, i, j):
-        return self.entries.get((i, j), HSeries.zero(self.order))
-
-    def _check(self, other):
-        if self.order != other.order:
-            raise ValueError(f"matrix order mismatch {self.order} vs {other.order}")
-
-    def __add__(self, other):
-        self._check(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix sum")
-        out = dict(self.entries)
-        for key, v in other.entries.items():
-            s = out.get(key)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Matrix(self.nrows, self.ncols, self.order, out)
-
-    def __neg__(self):
-        return Matrix(self.nrows, self.ncols, self.order,
-                      {k: -v for k, v in self.entries.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return self.terms.get((i, j), HSeries.zero(self.order))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RadicalSum, HSeries)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
-        self._check(other)
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        by_row = {}
-        for (i, k), v in other.entries.items():
-            by_row.setdefault(i, []).append((k, v))
-        out = {}
-        for (i, k), v in self.entries.items():
-            for (j, w) in by_row.get(k, ()):
-                c = v * w
-                if c.is_zero():
-                    continue
-                s = out.get((i, j))
-                s = c if s is None else s + c
-                out[(i, j)] = s
-        return Matrix(self.nrows, other.ncols, self.order, out)
-
-    def scale(self, c):
-        if not isinstance(c, HSeries):
-            c = HSeries.constant(c, self.order)
-        return Matrix(self.nrows, self.ncols, self.order,
-                      {k: v * c for k, v in self.entries.items()})
-
-    def kron(self, other):
-        self._check(other)
-        out = {}
-        for (i, j), v in self.entries.items():
-            for (k, l), w in other.entries.items():
-                c = v * w
-                if not c.is_zero():
-                    out[(i * other.nrows + k, j * other.ncols + l)] = c
-        return Matrix(self.nrows * other.nrows, self.ncols * other.ncols,
-                      self.order, out)
-
-    def transpose(self):
-        return Matrix(self.ncols, self.nrows, self.order,
-                      {(j, i): v for (i, j), v in self.entries.items()})
-
-    def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.nrows, self.ncols, self.order) == (other.nrows, other.ncols, other.order) \
-            and self.entries == other.entries
+        if self.order != other.order or self.ncols != other.nrows:
+            raise ValueError(f"cannot multiply a {self.space} by a {other.space} matrix"
+                             " (rows, columns, order)")
+        by_row = {}
+        for (i, k), v in other.terms.items():
+            by_row.setdefault(i, []).append((k, v))
+        out = {}
+        for (i, k), v in self.terms.items():
+            for j, w in by_row.get(k, ()):
+                add_into(out, (i, j), v * w)
+        return self._like(out, (self.nrows, other.ncols, self.order))
 
-    def is_zero(self):
-        return not self.entries
+    def kron(self, other):
+        if self.order != other.order:
+            raise ValueError(f"matrix order mismatch {self.order} vs {other.order}")
+        out = {}
+        for (i, j), v in self.terms.items():
+            for (k, l), w in other.terms.items():
+                add_into(out, (i * other.nrows + k, j * other.ncols + l), v * w)
+        return self._like(out, (self.nrows * other.nrows, self.ncols * other.ncols,
+                                self.order))
+
+    def transpose(self):
+        return self._like({(j, i): v for (i, j), v in self.terms.items()},
+                          (self.ncols, self.nrows, self.order))
 
     def truncate(self, new_order):
         out = {}
-        for key, v in self.entries.items():
-            t = v.truncate(new_order)
-            if not t.is_zero():
-                out[key] = t
-        return Matrix(self.nrows, self.ncols, new_order, out)
+        for key, v in self.terms.items():
+            add_into(out, key, v.truncate(new_order))
+        return self._like(out, (self.nrows, self.ncols, new_order))
 
     def divide_exact(self, k):
         """Divide every entry by h^k; the result carries order - k."""
         return Matrix(self.nrows, self.ncols, self.order - k,
-                      {key: v.divide_exact(k) for key, v in self.entries.items()})
+                      {key: v.divide_exact(k) for key, v in self.terms.items()})
 
     def _nilpotent_series(self, coeff):
         """sum_k coeff(k) N^k for this matrix N, stopping once N^k vanishes.
@@ -171,7 +127,7 @@ class Matrix:
     def at_h0(self):
         """Constant term: {key: RadicalSum}."""
         out = {}
-        for key, v in self.entries.items():
+        for key, v in self.terms.items():
             c = v.at_h0()
             if not c.is_zero():
                 out[key] = c
@@ -192,7 +148,7 @@ class Matrix:
     def to_json(self):
         return {"shape": [self.nrows, self.ncols], "order": self.order,
                 "entries": [{"pos": [i, j], "value": v.to_json()}
-                            for (i, j), v in sorted(self.entries.items())]}
+                            for (i, j), v in sorted(self.terms.items())]}
 
 
 def _dim(j):
@@ -269,7 +225,7 @@ def twist_matrix_oracle(j1, j2, order):
     for m1 in weights(j1):
         block = exp_sigma_matrix(j2, -m1.as_fraction(), order)
         i1 = widx(j1, m1)
-        for (k2, m2), v in block.entries.items():
+        for (k2, m2), v in block.terms.items():
             out[(i1 * n2 + k2, i1 * n2 + m2)] = v
     return Matrix(n1 * n2, n1 * n2, order, out)
 
@@ -363,7 +319,7 @@ def second_leg_twist(j1, j2, order):
     for m2 in weights(j2):
         block = exp_sigma_matrix(j1, -m2.as_fraction(), order)
         i2 = widx(j2, m2)
-        for (k1, m1), v in block.entries.items():
+        for (k1, m1), v in block.terms.items():
             out[(k1 * n2 + i2, m1 * n2 + i2)] = v
     return Matrix(n1 * n2, n1 * n2, order, out)
 
@@ -376,7 +332,7 @@ def universal_r_rep(j1, j2, order):
 def flip_tensor(mat, n1, n2):
     """Conjugate by the flip V1 (x) V2 -> V2 (x) V1."""
     out = {}
-    for (i, j), v in mat.entries.items():
+    for (i, j), v in mat.terms.items():
         a, b = divmod(i, n2)
         c, d = divmod(j, n2)
         out[(b * n1 + a, d * n1 + c)] = v
@@ -394,7 +350,7 @@ def r_triangularity_check(j1, j2, order):
 def _embed_13(mat, n1, n2, n3, order):
     """Lift a matrix on legs 1 and 3 to legs (1, 2, 3) with identity in the middle."""
     out = {}
-    for (i, j), v in mat.entries.items():
+    for (i, j), v in mat.terms.items():
         a, c = divmod(i, n3)
         ap, cp = divmod(j, n3)
         for b in range(n2):

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic.
+"""Exact scalar arithmetic, and the sparse container built on it.
 
 Three layers, all built on fractions.Fraction:
 
@@ -7,6 +7,9 @@ Three layers, all built on fractions.Fraction:
   HSeries     polynomial in the deformation parameter h, truncated at a
               fixed order, with RadicalSum coefficients.
   HalfInt     half-integer spin / weight labels, stored as twice the value.
+
+SeriesCombination is the finite sum {key: HSeries} shared by the polynomial
+algebras, the rewriting-engine elements and the matrices.
 
 RadicalSum is an exact ring; general division is not defined, but a sum
 consisting of a single term q*sqrt(r) has the exact inverse (1/(q*r))*sqrt(r).
@@ -372,6 +375,131 @@ class HSeries:
         return {"order": self.order, "coeffs": [c.to_json() for c in self.coeffs]}
 
 
+SCALARS = (int, Fraction, RadicalSum, HSeries)
+
+
+def as_series(c, order):
+    """A scalar as an HSeries of the given order; a series must already have it."""
+    if isinstance(c, HSeries):
+        if c.order != order:
+            raise ValueError(f"coefficient order {c.order} != element order {order}")
+        return c
+    return HSeries.constant(c, order)
+
+
+def add_into(acc, key, c):
+    """acc[key] += c, dropping the key when the sum is zero."""
+    old = acc.get(key)
+    if old is not None:
+        c = old + c
+    if c.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = c
+
+
+class SeriesCombination:
+    """A finite sum {key: HSeries} in one space, at one truncation order.
+
+    The linear and ring arithmetic lives here, once.  A subclass names its
+    space in `space`; two elements combine only when their types and spaces
+    are equal, and a space mismatch raises ValueError.  The subclass supplies
+    `order`, `unit_keys` (where the unit element has coefficient 1) and
+    `__mul__` for two elements.  Scalars act as multiples of the unit.
+    `terms` never holds a zero coefficient.
+    """
+
+    __slots__ = ("space", "terms")
+
+    def __init__(self, space, terms=None):
+        self.space = space
+        self.terms = {}
+        for key, c in (terms or {}).items():
+            add_into(self.terms, key, as_series(c, self.order))
+
+    def _like(self, terms, space=None):
+        """Trusted constructor: terms are nonzero series of this order."""
+        out = object.__new__(type(self))
+        out.space = self.space if space is None else space
+        out.terms = terms
+        return out
+
+    def _coerce(self, other):
+        """other as an element of this space, or None if it cannot be one."""
+        if isinstance(other, SCALARS):
+            return self.constant(other)
+        if type(other) is not type(self):
+            return None
+        if other.space != self.space:
+            raise ValueError(f"cannot combine {type(self).__name__} elements of "
+                             f"different spaces: {self.space!r} vs {other.space!r}")
+        return other
+
+    def constant(self, c):
+        """c times the unit element of this space."""
+        c = as_series(c, self.order)
+        out = {}
+        for key in self.unit_keys:
+            add_into(out, key, c)
+        return self._like(out)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            add_into(out, key, c)
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c):
+        c = as_series(c, self.order)
+        out = {}
+        for key, v in self.terms.items():
+            add_into(out, key, v * c)
+        return self._like(out)
+
+    def __rmul__(self, other):
+        if isinstance(other, SCALARS):
+            return self.scale(other)
+        return NotImplemented
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"bad power {n}")
+        out = self.constant(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def commutator(self, other):
+        return self * other - other * self
+
+    def __eq__(self, other):
+        if isinstance(other, SCALARS):
+            other = self.constant(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.space == other.space and self.terms == other.terms
+
+
 class HalfInt:
     """Half-integer stored as twice its value, so it hashes and compares exactly."""
 
@@ -440,8 +568,10 @@ class HalfInt:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (HalfInt, int, Fraction)):
-            return self.as_fraction() == HalfInt.of(other).as_fraction()
+        if isinstance(other, HalfInt):
+            return self.twice == other.twice
+        if isinstance(other, (int, Fraction)):
+            return self.as_fraction() == other
         return NotImplemented
 
     def __lt__(self, other):

@@ -11,7 +11,8 @@ representation matrices of every integer and half-integer spin.
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalar import HSeries, HalfInt, RadicalSum, sqrt_fraction, weights
+from .scalar import (SCALARS, HSeries, HalfInt, SeriesCombination, add_into,
+                     as_series, sqrt_fraction, weights)
 from .su2data import fact
 from .symplecton import osc_symplecton_poly
 from .weyl import symplecton_pivot
@@ -28,14 +29,16 @@ class Presentation:
     overlap g1 g2 g3 must reduce to the same normal form along both routes.
     """
 
-    def __init__(self, name, gens, rules, order, check=True):
+    def __init__(self, name, gens, rules, order):
         self.name = name
         self.gens = list(gens)
         self.index = {g: i for i, g in enumerate(self.gens)}
         self.order = order
         self.rules = rules
-        if check:
-            self.check_confluence()
+        self.check_confluence()
+
+    def __repr__(self):
+        return f"Presentation({self.name!r}, order={self.order})"
 
     def normal_form(self, terms):
         """Rewrite {word: HSeries} until no rule applies; returns a new dict."""
@@ -50,12 +53,7 @@ class Presentation:
                     pos = i
                     break
             if pos < 0:
-                acc = out.get(word)
-                acc = coeff if acc is None else acc + coeff
-                if acc.is_zero():
-                    out.pop(word, None)
-                else:
-                    out[word] = acc
+                add_into(out, word, coeff)
                 continue
             steps += 1
             if steps > _MAX_REWRITE_STEPS:
@@ -75,12 +73,11 @@ class Presentation:
             for (b2, c) in keys:
                 if b2 != b:
                     continue
-                left = {}
+                left, right = {}, {}
                 for rw, rc in self.rules[(a, b)].items():
-                    left[rw + (c,)] = left.get(rw + (c,), HSeries.zero(self.order)) + rc
-                right = {}
+                    add_into(left, rw + (c,), rc)
                 for rw, rc in self.rules[(b, c)].items():
-                    right[(a,) + rw] = right.get((a,) + rw, HSeries.zero(self.order)) + rc
+                    add_into(right, (a,) + rw, rc)
                 if self.normal_form(left) != self.normal_form(right):
                     ga, gb, gc = self.gens[a], self.gens[b], self.gens[c]
                     raise ValueError(f"presentation {self.name} is not confluent "
@@ -96,116 +93,43 @@ class Presentation:
         return NCElement(self, {(): HSeries.one(self.order)})
 
     def constant(self, c):
-        return NCElement(self, {(): _as_series(c, self.order)})
+        return NCElement(self, {(): c})
 
     def element(self, terms):
         """Build from {word of gen names: coefficient}, normal-ordering it."""
         raw = {}
         for word, c in terms.items():
             key = tuple(self.index[g] for g in word)
-            raw[key] = _as_series(c, self.order)
+            raw[key] = as_series(c, self.order)
         return NCElement(self, self.normal_form(raw))
 
 
-def _as_series(c, order):
-    if isinstance(c, HSeries):
-        if c.order != order:
-            raise ValueError(f"coefficient order {c.order} != presentation order {order}")
-        return c
-    return HSeries.constant(c, order)
+class NCElement(SeriesCombination):
+    """Normal-ordered element {word: HSeries}; its space is the presentation."""
 
-
-class NCElement:
-    """Normal-ordered element of a finitely presented algebra."""
-
-    __slots__ = ("pres", "terms")
-
-    def __init__(self, pres, terms):
-        self.pres = pres
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
-
-    def _check(self, other):
-        if not isinstance(other, NCElement) or other.pres is not self.pres:
-            raise ValueError("elements belong to different presentations")
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, RadicalSum, HSeries)):
-            other = self.pres.constant(other)
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return NCElement(self.pres, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NCElement(self.pres, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, RadicalSum, HSeries)):
-            other = self.pres.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c):
-        c = _as_series(c, self.pres.order)
-        return NCElement(self.pres, {w: v * c for w, v in self.terms.items()})
+    __slots__ = ()
+    unit_keys = ((),)
+    pres = property(lambda self: self.space)
+    order = property(lambda self: self.space.order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RadicalSum, HSeries)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
-        self._check(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         raw = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                c = c1 * c2
-                if c.is_zero():
-                    continue
-                w = w1 + w2
-                acc = raw.get(w)
-                raw[w] = c if acc is None else acc + c
-        return NCElement(self.pres, self.pres.normal_form(raw))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RadicalSum, HSeries)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n):
-        out = self.pres.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def commutator(self, other):
-        return self * other - other * self
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, RadicalSum, HSeries)):
-            other = self.pres.constant(other)
-        if not isinstance(other, NCElement) or other.pres is not self.pres:
-            return NotImplemented
-        return self.terms == other.terms
+                add_into(raw, w1 + w2, c1 * c2)
+        return self._like(self.pres.normal_form(raw))
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
         for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            cs = str(c)
-            if cs.endswith(f" (mod h^{self.pres.order + 1})"):
-                cs = cs[: -len(f" (mod h^{self.pres.order + 1})")]
+            cs = str(c).split(" (mod")[0]
             if " " in cs:
                 cs = f"({cs})"
             body = "*".join(self._pretty_word(w))
@@ -767,12 +691,7 @@ def _plane_pivot(j, k):
 
 def osc_basis_nc(j, n, order, pres, prefix):
     """The twisted oscillator polynomial as words in a presentation."""
-    poly = osc_symplecton_poly(j, n, order)
-    a, ab = prefix
-    out = pres.zero()
-    for (p, q), c in sorted(poly.terms.items()):
-        out = out + (a ** p * ab ** q).scale(c)
-    return out
+    return osc_symplecton_poly(j, n, order).substitute(*prefix)
 
 
 def dfunction(j, order, route="plane"):

@@ -123,8 +123,9 @@ def sixj(a, b, c, d, e, f):
 def racah_w(a, b, c, d, e, f):
     """Racah coefficient W(abcd; ef) = (-1)^(a+b+c+d) {a b e; d c f}."""
     a, b, c, d = HalfInt.of(a), HalfInt.of(b), HalfInt.of(c), HalfInt.of(d)
-    sign = -1 if (a + b + c + d).as_int() % 2 else 1
-    return sixj(a, b, e, d, c, f) * sign
+    w = sixj(a, b, e, d, c, f)
+    # a + b + c + d is an integer whenever the labels are admissible
+    return -w if not w.is_zero() and (a + b + c + d).as_int() % 2 else w
 
 
 def nabla(a, b, c):

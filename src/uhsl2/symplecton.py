@@ -13,25 +13,16 @@ normal forms, and the two-variable generating functions.
 
 from fractions import Fraction
 
-from .scalar import (HalfInt, HSeries, RadicalSum, half_range, spins_up_to,
+from .scalar import (HalfInt, HSeries, add_into, half_range, spins_up_to,
                      sqrt_fraction, weights)
 from .su2data import bracket_coeff, cgc, fact, triangle_ok
 from .reps import exp_sigma_entry
 from .weyl import (OscElement, WeylElement, ad_j0, ad_jminus, ad_jplus,
                    classical_symplecton, decompose_symplecton_basis,
                    exp_m_sigma, exp_m_sigma_osc, h_symplecton, j_minus,
-                   j_plus, j_zero, ladder_coeff, symplecton_pivot,
-                   to_oscillator)
+                   j_plus, j_zero, ladder_coeff, to_oscillator)
 
 adjoint_action = {"J0": ad_j0, "Jp": ad_jplus, "Jm": ad_jminus}
-
-
-def substitute_weyl(w, img_a, img_abar):
-    """Apply the algebra map a -> img_a, abar -> img_abar to a Weyl element."""
-    out = WeylElement.zero(w.order)
-    for (p, q), c in sorted(w.terms.items()):
-        out = out + (img_a ** p * img_abar ** q).scale(c)
-    return out
 
 
 def symmetry_check(max_j, order=0):
@@ -40,7 +31,7 @@ def symmetry_check(max_j, order=0):
     img_abar = -WeylElement.monomial(1, 0, order)
     for j in spins_up_to(max_j, HalfInt(1)):
         for m in weights(j):
-            got = substitute_weyl(classical_symplecton(j, m, order), img_a, img_abar)
+            got = classical_symplecton(j, m, order).substitute(img_a, img_abar)
             want = classical_symplecton(j, -m, order).scale(
                 Fraction(-1) ** ((j - m).as_int()))
             if got != want:
@@ -225,11 +216,11 @@ def decompose_twisted(w):
                 # the layer is constant in h by construction
                 raise RuntimeError("unexpected h-dependence in a fixed layer")
             coeff = HSeries.h_power(t, order, 1).scale(c0)
-            out[(k, mu)] = out.get((k, mu), HSeries.zero(order)) + coeff
+            add_into(out, (k, mu), coeff)
             rest = rest - h_symplecton(k, mu, order).scale(coeff)
     if not rest.is_zero():
         raise RuntimeError("twisted-basis expansion left a residue")
-    return {key: c for key, c in out.items() if not c.is_zero()}
+    return out
 
 
 def product_oracle(j, m, jp_, mp, order):
@@ -565,11 +556,8 @@ def _graded_power(base, n, one):
         new = {}
         for (p1, q1), e1 in out.items():
             for (p2, q2), e2 in base.items():
-                key = (p1 + p2, q1 + q2)
-                prod = e1 * e2
-                acc = new.get(key)
-                new[key] = prod if acc is None else acc + prod
-        out = {k: v for k, v in new.items() if not v.is_zero()}
+                add_into(new, (p1 + p2, q1 + q2), e1 * e2)
+        out = new
     return out
 
 

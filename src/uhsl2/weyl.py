@@ -17,16 +17,9 @@ binomial series and agree under the conversion maps below.
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalar import HalfInt, HSeries, RadicalSum, sqrt_fraction, weights
+from .scalar import (SCALARS, HalfInt, HSeries, SeriesCombination, add_into,
+                     as_series, sqrt_fraction)
 from .su2data import fact
-
-
-def _as_series(c, order):
-    if isinstance(c, HSeries):
-        if c.order != order:
-            raise ValueError(f"coefficient order {c.order} != element order {order}")
-        return c
-    return HSeries.constant(c, order)
 
 
 def _gen_binom(alpha, k):
@@ -44,18 +37,17 @@ def _scalar_of(m):
     return Fraction(m)
 
 
-class _NormalPoly:
-    """Shared machinery for normal-ordered two-generator polynomials."""
+class _NormalPoly(SeriesCombination):
+    """Normal-ordered two-generator polynomial {(p, q): HSeries}; its space
+    is the truncation order."""
 
-    __slots__ = ("terms", "order")
+    __slots__ = ()
+    unit_keys = ((0, 0),)
 
     def __init__(self, terms, order):
-        self.order = order
-        self.terms = {}
-        for key, c in (terms or {}).items():
-            c = _as_series(c, order)
-            if not c.is_zero():
-                self.terms[key] = c
+        super().__init__(order, terms)
+
+    order = property(lambda self: self.space)
 
     @classmethod
     def zero(cls, order):
@@ -67,87 +59,39 @@ class _NormalPoly:
 
     @classmethod
     def monomial(cls, p, q, order, coeff=1):
-        return cls({(p, q): _as_series(coeff, order)}, order)
-
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if not isinstance(other, type(self)):
-            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if self.order != other.order:
-            raise ValueError(f"order mismatch {self.order} vs {other.order}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, RadicalSum, HSeries)):
-            other = type(self).monomial(0, 0, self.order, other)
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return type(self)(out, self.order)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()}, self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, RadicalSum, HSeries)):
-            other = type(self).monomial(0, 0, self.order, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c):
-        c = _as_series(c, self.order)
-        return type(self)({k: v * c for k, v in self.terms.items()}, self.order)
+        return cls({(p, q): as_series(coeff, order)}, order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RadicalSum, HSeries)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
-        self._check(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         out = {}
         for (p1, q1), c1 in self.terms.items():
             for (p2, q2), c2 in other.terms.items():
                 c12 = c1 * c2
                 if c12.is_zero():
                     continue
-                for (p, q), extra in self._reorder_terms(p1, q1, p2, q2):
-                    c = _resolve_extra(c12, extra)
-                    if c.is_zero():
-                        continue
-                    s = out.get((p, q))
-                    s = c if s is None else s + c
-                    out[(p, q)] = s
-        return type(self)(out, self.order)
+                for key, extra in self._reorder_terms(p1, q1, p2, q2):
+                    add_into(out, key, _resolve_extra(c12, extra))
+        return self._like(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RadicalSum, HSeries)):
-            return self.scale(other)
-        return NotImplemented
+    def substitute(self, img_a, img_abar):
+        """Apply the algebra map (first, second generator) -> (img_a, img_abar).
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"bad power {n}")
-        out = type(self).one(self.order)
-        for _ in range(n):
-            out = out * self
+        The images may lie in any algebra of series combinations; each power
+        of an image is built once.
+        """
+        out = img_a.constant(0)
+        powers_a, powers_abar = [img_a.constant(1)], [img_abar.constant(1)]
+        for (p, q), c in sorted(self.terms.items()):
+            while len(powers_a) <= p:
+                powers_a.append(powers_a[-1] * img_a)
+            while len(powers_abar) <= q:
+                powers_abar.append(powers_abar[-1] * img_abar)
+            out = out + (powers_a[p] * powers_abar[q]).scale(c)
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.order == other.order and self.terms == other.terms
-
-    def commutator(self, other):
-        return self * other - other * self
 
     def truncate(self, new_order):
         return type(self)({k: c.truncate(new_order) for k, c in self.terms.items()},
@@ -227,12 +171,8 @@ class OscElement(_NormalPoly):
 
     def substitute_abar(self, shift):
         """Apply the algebra map A -> A, Abar -> Abar + shift*A (shift a scalar series)."""
-        shift = _as_series(shift, self.order)
-        lin = OscElement({(0, 1): HSeries.one(self.order), (1, 0): shift}, self.order)
-        out = OscElement.zero(self.order)
-        for (p, q), c in self.terms.items():
-            out = out + (OscElement.monomial(p, 0, self.order) * lin ** q).scale(c)
-        return out
+        lin = OscElement({(0, 1): 1, (1, 0): shift}, self.order)
+        return self.substitute(OscElement.monomial(1, 0, self.order), lin)
 
 
 class _HMono:
@@ -281,7 +221,7 @@ def _osc_reorder(q, p):
 
 
 def weyl_commutator(x, y):
-    return x * y - y * x
+    return x.commutator(y)
 
 
 def a_gen(order):
@@ -317,54 +257,37 @@ def sigma_weyl(order):
     return WeylElement(terms, order)
 
 
+def _binomial_in_square(cls, alpha, sign, order):
+    """(1 + sign*h*x^2)^alpha with x the first generator of cls."""
+    return cls({(2 * k, 0): HSeries.h_power(k, order, _gen_binom(alpha, k) * sign ** k)
+                for k in range(order + 1)}, order)
+
+
 def exp_m_sigma(m, order):
     """exp(m*s) = (1 + h a^2)^(-m) in the Weyl presentation."""
-    alpha = -_scalar_of(m)
-    terms = {}
-    for k in range(order + 1):
-        c = _gen_binom(alpha, k)
-        if c:
-            terms[(2 * k, 0)] = HSeries.h_power(k, order, c)
-    return WeylElement(terms, order)
+    return _binomial_in_square(WeylElement, -_scalar_of(m), 1, order)
 
 
 def exp_m_sigma_osc(m, order):
     """exp(m*s) = (1 - h A^2)^m in the oscillator presentation."""
-    alpha = _scalar_of(m)
-    terms = {}
-    for k in range(order + 1):
-        c = _gen_binom(alpha, k) * (-1) ** k
-        if c:
-            terms[(2 * k, 0)] = HSeries.h_power(k, order, c)
-    return OscElement(terms, order)
+    return _binomial_in_square(OscElement, _scalar_of(m), -1, order)
 
 
 def to_oscillator(w):
     """Rewrite a Weyl element in the dressed generators A, Abar.
 
-    The inverse dressing is a = A exp(-s/2), abar = Abar exp(s/2), and
-    exp(alpha*s) commutes with A, so a^p = A^p exp(-p s/2).
+    The inverse dressing is a = A exp(-s/2), abar = Abar exp(s/2).
     """
-    order = w.order
-    dressed_abar = OscElement.monomial(0, 1, order) * exp_m_sigma_osc(Fraction(1, 2), order)
-    out = OscElement.zero(order)
-    for (p, q), c in sorted(w.terms.items()):
-        piece = OscElement.monomial(p, 0, order) * exp_m_sigma_osc(Fraction(-p, 2), order)
-        piece = piece * dressed_abar ** q
-        out = out + piece.scale(c)
-    return out
+    order, half = w.order, Fraction(1, 2)
+    return w.substitute(OscElement.monomial(1, 0, order) * exp_m_sigma_osc(-half, order),
+                        OscElement.monomial(0, 1, order) * exp_m_sigma_osc(half, order))
 
 
 def from_oscillator(o):
     """Rewrite an oscillator element back in the plain Weyl generators."""
-    order = o.order
-    dressed_abar = WeylElement.monomial(0, 1, order) * exp_m_sigma(Fraction(-1, 2), order)
-    out = WeylElement.zero(order)
-    for (p, q), c in sorted(o.terms.items()):
-        piece = WeylElement.monomial(p, 0, order) * exp_m_sigma(Fraction(p, 2), order)
-        piece = piece * dressed_abar ** q
-        out = out + piece.scale(c)
-    return out
+    order, half = o.order, Fraction(1, 2)
+    return o.substitute(WeylElement.monomial(1, 0, order) * exp_m_sigma(half, order),
+                        WeylElement.monomial(0, 1, order) * exp_m_sigma(-half, order))
 
 
 @lru_cache(maxsize=None)
@@ -431,11 +354,11 @@ def decompose_symplecton_basis(w):
         for (p, q) in sorted(layer):
             j, m = HalfInt(p + q), HalfInt(p - q)
             c = rest.terms[(p, q)] * symplecton_pivot(j, m).invert()
-            out[(j, m)] = out.get((j, m), HSeries.zero(order)) + c
+            add_into(out, (j, m), c)
             rest = rest - classical_symplecton(j, m, order).scale(c)
         if not rest.is_zero() and rest.max_degree() >= d:
             raise RuntimeError("basis elimination failed to reduce the degree")
-    return {key: c for key, c in out.items() if not c.is_zero()}
+    return out
 
 
 def ad_j0(t):

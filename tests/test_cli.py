@@ -124,3 +124,30 @@ def test_bad_spin_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "symplecton", "--j", "1/3", "--m", "0"])
     assert exc.value.code == 2
+
+
+def test_negative_order_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "symplecton", "--j", "1", "--m", "0", "-H", "-1"])
+    assert exc.value.code == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+def test_negative_spin_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "fmatrix", "--j1", "-1", "--j2", "1/2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "nonnegative" in captured.err and captured.out == ""
+
+
+def test_negative_weight_is_accepted(capsys):
+    code, out = run(capsys, "compute", "cgc", "--j1", "1/2", "--j2", "1/2",
+                    "--j", "0", "--m1=-1/2", "--m2", "1/2")
+    assert code == 0 and out.strip() == "-1/2*sqrt(2)"
+
+
+def test_compute_racah_on_inadmissible_labels_is_zero(capsys):
+    code, out = run(capsys, "compute", "racah", "--a", "1/2", "--b", "1/2",
+                    "--c", "1/2", "--d", "1", "--e", "1", "--f", "1")
+    assert code == 0 and out.strip() == "0"

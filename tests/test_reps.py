@@ -29,7 +29,7 @@ def test_spin_rep_relations():
 def test_sigma_rep_properties():
     r = spin_rep(H32, ORD)
     # strictly weight-raising, hence nilpotent
-    assert all(i > j for (i, j) in r.sigma.entries)
+    assert all(i > j for (i, j) in r.sigma.terms)
     # exp(a s) exp(b s) = exp((a+b) s)
     for a in (Fraction(1, 2), -1, Fraction(3, 2)):
         for b in (Fraction(-1, 2), 1):
@@ -79,7 +79,7 @@ def test_twist_inverse_and_symmetry():
 
 def test_twist_entries_are_monomials():
     f = twist_matrix_formula(H32, HalfInt(2), ORD)
-    for v in f.entries.values():
+    for v in f.terms.values():
         assert sum(0 if c.is_zero() else 1 for c in v.coeffs) == 1
 
 
@@ -152,7 +152,7 @@ def test_matrix_basics():
         assert e * e.inverse_unipotent() == Matrix.identity(n, 4)
     a = Matrix(2, 2, 2, {(0, 1): 1})
     b = Matrix(2, 2, 2, {(1, 0): HSeries.h_power(1, 2)})
-    assert a.kron(b).entries == {(1, 2): HSeries.h_power(1, 2)}
+    assert a.kron(b).terms == {(1, 2): HSeries.h_power(1, 2)}
     assert flip_tensor(a.kron(b), 2, 2) == b.kron(a)
 
 

@@ -145,6 +145,12 @@ def test_half_int():
         j.as_int()
 
 
+def test_half_int_equality_with_non_half_integers():
+    assert HalfInt(1) != Fraction(1, 3) and not HalfInt(1) == Fraction(1, 3)
+    assert HalfInt(2) == Fraction(1) and HalfInt(2) == 1
+    assert HalfInt(1) != 0 and HalfInt(1) != "1/2"
+
+
 def test_half_int_ranges():
     assert [str(m) for m in weights(HalfInt(3))] == ["-3/2", "-1/2", "1/2", "3/2"]
     assert [m.twice for m in half_range(0, 2)] == [0, 2, 4]

@@ -1,5 +1,6 @@
 """Clebsch-Gordan, Racah and triangle coefficients."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -82,6 +83,16 @@ def test_sixj_values():
     assert sixj(H12, H12, 1, H12, H12, 1) == RadicalSum({1: Fraction(1, 6)})
     assert sixj(2, 1, 1, 0, 1, 1).is_zero() is False
     assert sixj(1, 1, 1, 1, 1, 3).is_zero()  # broken triangle
+
+
+def test_racah_w_is_zero_off_the_admissible_labels():
+    # a + b + c + d need not be an integer when a triangle is broken
+    assert racah_w(H12, H12, H12, 1, 1, 1).is_zero()
+    spins = spins_up_to(1)
+    for labels in itertools.product(spins, repeat=6):
+        a, b, c, d, e, f = labels
+        w, v = racah_w(*labels), sixj(a, b, e, d, c, f)
+        assert w == v or w == -v, f"racah_w{labels} is not +-6j"
 
 
 def test_sixj_column_symmetry():
