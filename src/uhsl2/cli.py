@@ -1,8 +1,9 @@
 """Command-line front end: compute exact objects, emit machine-readable
 artifacts, and run the verification suites.
 
-Exit codes: 0 all requested checks pass, 1 a verification failed, 2 bad
-usage.  Output is deterministic for a fixed configuration.
+Exit codes: 0 all requested checks pass, 1 a verification failed (an error
+raised inside a suite counts as a failed check), 2 bad usage.  Output is
+deterministic for a fixed configuration.
 """
 
 import argparse
@@ -387,6 +388,16 @@ def cmd_compute(args):
 # verify subcommand
 
 
+def _run_suite(name, cfg):
+    """The suite's rows; an error raised inside it is one failing row."""
+    try:
+        return SUITES[name][1](cfg)
+    except Exception as err:
+        params = {"max_spin": str(cfg.max_spin), "order": str(cfg.order)}
+        return [_row(name, "runs_to_completion", "suite-error", params, False,
+                     f"{type(err).__name__}: {err}")]
+
+
 def cmd_verify(args, parser):
     names = args.suite or list(SUITES)
     if "all" in names:
@@ -403,7 +414,7 @@ def cmd_verify(args, parser):
     rows = []
     if cfg.max_spin.twice > 0:
         for name in seen:
-            rows.extend(SUITES[name][1](cfg))
+            rows.extend(_run_suite(name, cfg))
     failed = [row for row in rows if not row["pass"]]
     if args.format == "json":
         report = {"order": cfg.order, "max_spin": str(cfg.max_spin),

@@ -8,6 +8,7 @@ the mixed module-plus-group algebras used for covariance and for building
 representation matrices of every integer and half-integer spin.
 """
 
+import heapq
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,6 +19,16 @@ from .symplecton import osc_symplecton_poly
 from .weyl import symplecton_pivot
 
 _MAX_REWRITE_STEPS = 500000
+
+
+def _priority(word):
+    """Heap key: longest first, then most descending letter pairs, then largest."""
+    inversions = 0
+    for i, a in enumerate(word):
+        for b in word[i + 1:]:
+            if a > b:
+                inversions += 1
+    return -len(word), -inversions, tuple(-a for a in word)
 
 
 class Presentation:
@@ -35,35 +46,69 @@ class Presentation:
         self.index = {g: i for i, g in enumerate(self.gens)}
         self.order = order
         self.rules = rules
+        # Each right-hand side as (word, coeff, sign): sign is +1 or -1 when
+        # the coefficient is that unit, so the rewrite reuses or negates the
+        # incoming coefficient instead of multiplying by it; 0 otherwise.
+        one = HSeries.one(order)
+        self._rhs = {pair: [(rw, rc, 1 if rc == one else -1 if rc == -one else 0)
+                            for rw, rc in rhs.items()]
+                     for pair, rhs in rules.items()}
         self.check_confluence()
 
     def __repr__(self):
         return f"Presentation({self.name!r}, order={self.order})"
 
+    def _redex(self, word, start):
+        """Position of the leftmost rewritable pair at or after start, or -1."""
+        rules = self._rhs
+        for i in range(start, len(word) - 1):
+            if (word[i], word[i + 1]) in rules:
+                return i
+        return -1
+
     def normal_form(self, terms):
-        """Rewrite {word: HSeries} until no rule applies; returns a new dict."""
+        """Rewrite {word: HSeries} until no rule applies; returns a new dict.
+
+        The rules are confluent and terminating, so the normal form is linear
+        and equal words may be summed before they are rewritten.  Pending
+        words wait in one dict, each rewritten once at its leftmost pair:
+        the longest, then most out of order, then largest goes first, so that
+        most contributions to a word have arrived by the time it is rewritten.
+        Normal words go straight to the result.
+        """
         out = {}
-        stack = [(w, c) for w, c in terms.items() if not c.is_zero()]
-        steps = 0
-        while stack:
-            word, coeff = stack.pop()
-            pos = -1
-            for i in range(len(word) - 1):
-                if (word[i], word[i + 1]) in self.rules:
-                    pos = i
-                    break
+        pending = {}
+        heap = []
+
+        def put(word, c, start):
+            pos = self._redex(word, start)
             if pos < 0:
-                add_into(out, word, coeff)
+                add_into(out, word, c)
+            elif word in pending:
+                add_into(pending, word, c)
+            elif not c.is_zero():
+                pending[word] = c
+                heapq.heappush(heap, (_priority(word), word, pos))
+
+        for w, c in terms.items():
+            put(w, c, 0)
+        steps = 0
+        while heap:
+            _, word, pos = heapq.heappop(heap)
+            coeff = pending.pop(word, None)
+            if coeff is None:
                 continue
             steps += 1
             if steps > _MAX_REWRITE_STEPS:
-                raise RuntimeError(f"rewriting in {self.name} exceeded the step limit")
-            rhs = self.rules[(word[pos], word[pos + 1])]
+                raise RuntimeError(
+                    f"rewriting in {self.name} exceeded the step limit of "
+                    f"{_MAX_REWRITE_STEPS} rewrite steps at the word "
+                    f"{'*'.join(self.pretty_word(word))}")
             head, tail = word[:pos], word[pos + 2:]
-            for rw, rc in rhs.items():
-                c = coeff * rc
-                if not c.is_zero():
-                    stack.append((head + rw + tail, c))
+            start = max(pos - 1, 0)
+            for rw, rc, sign in self._rhs[(word[pos], word[pos + 1])]:
+                c = coeff if sign > 0 else -coeff if sign < 0 else coeff * rc
+                put(head + rw + tail, c, start)
         return out
 
     def check_confluence(self):
@@ -82,6 +127,19 @@ class Presentation:
                     ga, gb, gc = self.gens[a], self.gens[b], self.gens[c]
                     raise ValueError(f"presentation {self.name} is not confluent "
                                      f"on the overlap {ga} {gb} {gc}")
+
+    def pretty_word(self, word):
+        """Generator names of a word, runs of a letter written as powers."""
+        out = []
+        i = 0
+        while i < len(word):
+            k = i
+            while k < len(word) and word[k] == word[i]:
+                k += 1
+            g = self.gens[word[i]]
+            out.append(g if k - i == 1 else f"{g}^{k - i}")
+            i = k
+        return out
 
     def gen(self, name):
         return NCElement(self, {(self.index[name],): HSeries.one(self.order)})
@@ -132,7 +190,7 @@ class NCElement(SeriesCombination):
             cs = str(c).split(" (mod")[0]
             if " " in cs:
                 cs = f"({cs})"
-            body = "*".join(self._pretty_word(w))
+            body = "*".join(self.pres.pretty_word(w))
             if not body:
                 parts.append(cs)
             elif cs == "1":
@@ -142,18 +200,6 @@ class NCElement(SeriesCombination):
         return " + ".join(parts)
 
     __repr__ = __str__
-
-    def _pretty_word(self, word):
-        out = []
-        i = 0
-        while i < len(word):
-            k = i
-            while k < len(word) and word[k] == word[i]:
-                k += 1
-            g = self.pres.gens[word[i]]
-            out.append(g if k - i == 1 else f"{g}^{k - i}")
-            i = k
-        return out
 
     def to_json(self):
         return {"presentation": self.pres.name,

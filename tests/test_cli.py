@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from uhsl2 import symplecton
+from uhsl2 import cli, slh2, symplecton
 from uhsl2.cli import RunConfig, main, suite_product_law
 from uhsl2.scalar import HalfInt
 
@@ -112,6 +112,35 @@ def test_strict_coefficients_fails_on_convention_ratio(capsys):
                     "--suite", "product-law", "--strict-coefficients")
     assert code == 1
     assert "FAIL" in out and "ratio" in out
+
+
+def test_error_inside_suite_is_failed_row(capsys, monkeypatch):
+    def broken(cfg):
+        raise ValueError("no such coefficient")
+
+    monkeypatch.setitem(cli.SUITES, "twist", (cli.SUITES["twist"][0], broken))
+    code, out = run(capsys, "verify", "-H", "2", "--max-spin", "1/2",
+                    "--suite", "twist", "--suite", "symplecton")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines[0] == ("FAIL  twist/runs_to_completion  [max_spin=1/2 order=2]"
+                        "  ValueError: no such coefficient")
+    assert all(line.startswith("PASS") for line in lines[1:-1])
+    assert lines[-1].endswith("checks, 1 failed")
+
+
+def test_step_limit_in_suite_is_failed_row(capsys, monkeypatch):
+    monkeypatch.setattr(slh2, "_MAX_REWRITE_STEPS", 1)
+    code, out = run(capsys, "verify", "--suite", "dfunctions", "-H", "2",
+                    "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["checks"] == 1 and report["failed"] == 1
+    row = report["rows"][0]
+    assert (row["suite"], row["check"], row["pass"]) == (
+        "dfunctions", "runs_to_completion", False)
+    assert row["detail"].startswith("RuntimeError: rewriting in ")
+    assert "step limit of 1 rewrite steps" in row["detail"]
 
 
 def test_unknown_suite_is_usage_error(capsys):

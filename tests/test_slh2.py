@@ -145,6 +145,11 @@ def test_dfunction_routes_agree():
             f"plane and oscillator routes disagree at spin {HalfInt(twice)}")
 
 
+def test_dfunction_routes_agree_at_spin_five_halves():
+    # the reach the merging rewriting engine buys: seconds, not minutes
+    assert dfunction_routes_agree(HalfInt(5), 8)
+
+
 def test_dfunction_coalgebra():
     for twice in (1, 2):
         ok, detail = dfunction_coalgebra_check(HalfInt(twice), ORDER)
