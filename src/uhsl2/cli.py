@@ -232,11 +232,14 @@ def suite_dfunctions(cfg):
           and d[(-half, -half)] == pres.gen("y"))
     rows.append(_row("dfunctions", "fundamental_equals_letter_matrix",
                      "dfun-fundamental", params, ok))
+    # these spins cover every plane basis the suite builds
     for j in spins_up_to(cfg.product_spin, HalfInt(1)):
         p = {"j": str(j), "order": str(cfg.order)}
+        ok, detail = slh2.plane_forms_check(j, cfg.order)
+        if ok:
+            ok, detail = slh2.dfunction_routes_agree(j, cfg.order), ""
         rows.append(_row("dfunctions", "plane_and_oscillator_routes_agree",
-                         "dfun-two-routes", p,
-                         slh2.dfunction_routes_agree(j, cfg.order)))
+                         "dfun-two-routes", p, ok, detail))
     for j in spins_up_to(min(cfg.max_spin, HalfInt(2)), HalfInt(1)):
         p = {"j": str(j), "order": str(cfg.order)}
         ok, detail = slh2.dfunction_coalgebra_check(j, cfg.order)
@@ -345,6 +348,11 @@ def _emit(args, text, payload):
 
 def cmd_compute(args):
     order = args.order
+    if args.object in ("symplecton", "h-symplecton", "plane-basis") \
+            and args.m not in weights(args.j):
+        allowed = ", ".join(str(m) for m in weights(args.j))
+        raise ValueError(f"--m {args.m} is not a weight of --j {args.j}; "
+                         f"allowed: {allowed}")
     if args.object == "symplecton":
         e = weyl.classical_symplecton(args.j, args.m, order)
         _emit(args, str(e), e.to_json())

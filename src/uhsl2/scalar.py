@@ -86,9 +86,6 @@ class RadicalSum:
     def is_rational(self):
         return all(r == 1 for r in self.terms)
 
-    def rational_part(self):
-        return self.terms.get(1, Fraction(0))
-
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")

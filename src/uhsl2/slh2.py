@@ -697,47 +697,49 @@ def covariance_check(order):
 # spin bases of the module algebras and representation matrices
 
 
-def plane_basis(j, m, order, pres=None, prefix=None):
-    """Weight basis of the deformed plane, two equal closed forms.
+def _plane_norm(j, m):
+    """Normalization 1/sqrt((j+m)!(j-m)!) of the plane weight basis."""
+    return sqrt_fraction(Fraction(1, fact(j + m) * fact(j - m)))
 
-    Both are products of shifted linear factors around eta^(j-m) xi^(j+m)
-    with normalization 1/sqrt((j+m)!(j-m)!); they are built independently
-    and must agree, which is asserted.
+
+def plane_basis(j, m, order, pres=None, prefix=None):
+    """Weight basis element of the deformed plane at (j, m):
+
+      xi^(j+m) (eta - h(j+m) xi)(eta - h(j+m-1) xi) ... (eta - h(2m+1) xi)
+
+    normalized by 1/sqrt((j+m)!(j-m)!); plane_forms_check compares it with
+    a second closed form.
     """
     j, m = HalfInt.of(j), HalfInt.of(m)
     if pres is None:
         pres = plane_algebra(order)
     eta = pres.gen("eta") if prefix is None else prefix[0]
     xi = pres.gen("xi") if prefix is None else prefix[1]
-    jp, jm = (j + m).as_int(), (j - m).as_int()
-    c = sqrt_fraction(Fraction(1, fact(j + m) * fact(j - m)))
-
-    def shifted(k):
-        return eta + xi.scale(HSeries.h_power(1, order, k))
-
-    # form 1: xi^(j+m) (eta - h(j+m) xi)(eta - h(j+m-1) xi) ... (eta - h(2m+1) xi)
-    first = xi ** jp
+    jp = (j + m).as_int()
+    out = xi ** jp
     for arg in range(jp, (2 * m).as_int(), -1):
-        first = first * shifted(-arg)
-    # form 2: eta (eta + h xi) ... (eta + (j-m-1) h xi) xi^(j+m)
-    second = pres.one()
-    for i in range(jm):
-        second = second * shifted(i)
-    second = second * xi ** jp
-    first = first.scale(c)
-    second = second.scale(c)
-    if first != second:
-        raise RuntimeError(f"plane basis forms disagree at j={j}, m={m}")
-    return first
+        out = out * (eta + xi.scale(HSeries.h_power(1, order, -arg)))
+    return out.scale(_plane_norm(j, m))
 
 
-def _plane_pivot(j, k):
-    return sqrt_fraction(Fraction(1, fact(j + k) * fact(j - k)))
+def plane_forms_check(j, order):
+    """At every weight of spin j, plane_basis equals the second closed form
+    eta (eta + h xi) ... (eta + (j-m-1) h xi) xi^(j+m), equally normalized.
 
-
-def osc_basis_nc(j, n, order, pres, prefix):
-    """The twisted oscillator polynomial as words in a presentation."""
-    return osc_symplecton_poly(j, n, order).substitute(*prefix)
+    They agree because xi eta = eta xi + h xi^2, the relation that
+    covariance_check verifies for the primed pair.
+    """
+    j = HalfInt.of(j)
+    pres = plane_algebra(order)
+    eta, xi = pres.gen("eta"), pres.gen("xi")
+    for m in weights(j):
+        second = pres.one()
+        for i in range((j - m).as_int()):
+            second = second * (eta + xi.scale(HSeries.h_power(1, order, i)))
+        second = (second * xi ** (j + m).as_int()).scale(_plane_norm(j, m))
+        if plane_basis(j, m, order, pres) != second:
+            return False, f"plane basis forms disagree at j={j}, m={m}"
+    return True, f"both plane basis forms agree at j={j}"
 
 
 def dfunction(j, order, route="plane"):
@@ -760,15 +762,16 @@ def dfunction(j, order, route="plane"):
                        for m in weights(j)}
         pivot_word = {k: (0,) * (j - k).as_int() + (1,) * (j + k).as_int()
                       for k in weights(j)}
-        pivot_coeff = {k: _plane_pivot(j, k) for k in weights(j)}
+        pivot_coeff = {k: _plane_norm(j, k) for k in weights(j)}
     elif route == "symplecton":
         pres = mixed_algebra("osc", order)
         a, ab = pres.gen("a"), pres.gen("abar")
         x, y, v, u = (pres.gen(g) for g in GROUP_GENS)
         a_p = a * x + ab * v
         ab_p = a * u + ab * y
-        basis = {k: osc_basis_nc(j, k, order, pres, (a, ab)) for k in weights(j)}
-        transformed = {m: osc_basis_nc(j, m, order, pres, (a_p, ab_p))
+        basis = {k: osc_symplecton_poly(j, k, order).substitute(a, ab)
+                 for k in weights(j)}
+        transformed = {m: osc_symplecton_poly(j, m, order).substitute(a_p, ab_p)
                        for m in weights(j)}
         pivot_word = {k: (0,) * (j + k).as_int() + (1,) * (j - k).as_int()
                       for k in weights(j)}

@@ -22,8 +22,6 @@ from .weyl import (OscElement, WeylElement, ad_j0, ad_jminus, ad_jplus,
                    exp_m_sigma, exp_m_sigma_osc, h_symplecton, j_minus,
                    j_plus, j_zero, ladder_coeff, to_oscillator)
 
-adjoint_action = {"J0": ad_j0, "Jp": ad_jplus, "Jm": ad_jminus}
-
 
 def symmetry_check(max_j, order=0):
     """Reflection a -> abar, abar -> -a sends P_j^m to (-1)^(j-m) P_j^(-m)."""
@@ -223,12 +221,6 @@ def decompose_twisted(w):
     return out
 
 
-def product_oracle(j, m, jp_, mp, order):
-    """Exact twisted-basis expansion of a product of two family members."""
-    w = h_symplecton(j, m, order) * h_symplecton(jp_, mp, order)
-    return decompose_twisted(w)
-
-
 def _spin_pairs(max_j):
     spins = spins_up_to(max_j, HalfInt(1))
     return [(j, jp_) for j in spins for jp_ in spins]
@@ -238,11 +230,6 @@ def _pair_products(j, jp_, order):
     """Every product P~_j^m P~_j'^m' of one spin pair, keyed by (m, m')."""
     return {(m, mp): h_symplecton(j, m, order) * h_symplecton(jp_, mp, order)
             for m in weights(j) for mp in weights(jp_)}
-
-
-def _expand(products):
-    """The twisted-basis expansion of each product, under the same keys."""
-    return {key: decompose_twisted(w) for key, w in products.items()}
 
 
 def product_formula_component(j, m, jp_, mp, k, mu, order):
@@ -263,17 +250,12 @@ def product_formula_component(j, m, jp_, mp, k, mu, order):
     return entry.scale(bracket_coeff(k, j, jp_) * c)
 
 
-def product_intermediate_check(j, m, jp_, mp, order):
-    """The product equals the twist-redistributed classical product.
+def _intermediate_holds(j, m, jp_, mp, lhs, order):
+    """The product lhs = P~_j^m P~_j'^m' is the twist-redistributed
+    classical product.
 
     P~_j^m P~_j'^m' = sum_n' <j' n'|exp(m s)|j' m'> P_j^m P_j'^n' exp((n'+m) s).
     """
-    j, m, jp_, mp = (HalfInt.of(x) for x in (j, m, jp_, mp))
-    lhs = h_symplecton(j, m, order) * h_symplecton(jp_, mp, order)
-    return _intermediate_holds(j, m, jp_, mp, lhs, order)
-
-
-def _intermediate_holds(j, m, jp_, mp, lhs, order):
     rhs = WeylElement.zero(order)
     for np_ in half_range(mp, jp_):
         entry = exp_sigma_entry(jp_, np_, m.as_fraction(), mp, order)
@@ -284,41 +266,33 @@ def _intermediate_holds(j, m, jp_, mp, lhs, order):
     return lhs == rhs
 
 
-def product_support_check(j, jp_, order):
-    """Spin / weight support of every product, and of its classical limit.
+def _support(j, jp_, expansions):
+    """Spin / weight support of every product of one spin pair, and of its
+    classical limit; the first failure, or None.
 
     The spins that appear are confined to the coupling triangle; the weights
     to n' + m with m' <= n' <= j'; and at h^0 only the total weight m + m'
     survives.
     """
-    j, jp_ = HalfInt.of(j), HalfInt.of(jp_)
-    return _support(j, jp_, _expand(_pair_products(j, jp_, order)))
-
-
-def _support(j, jp_, expansions):
     for (m, mp), decomp in expansions.items():
         for (k, mu), c in decomp.items():
             if not triangle_ok(j, jp_, k):
-                return False, f"spin {k} outside triangle at ({j},{m};{jp_},{mp})"
+                return f"spin {k} outside triangle at ({j},{m};{jp_},{mp})"
             np_ = mu - m
             if not (mp <= np_ <= jp_):
-                return False, f"weight {mu} outside band at ({j},{m};{jp_},{mp})"
+                return f"weight {mu} outside band at ({j},{m};{jp_},{mp})"
             if mu != m + mp and not c.at_h0().is_zero():
-                return False, f"classical limit leaks to weight {mu}"
-    return True, "support confined to the coupling triangle and weight band"
+                return f"classical limit leaks to weight {mu}"
+    return None
 
 
-def twisted_sum_collapse_check(j, jp_, order):
-    """Summing products against twist entries recovers a single dressed product.
+def _collapse(j, jp_, products, order):
+    """Summing the products of one spin pair against twist entries recovers
+    a single dressed product; the first failure, or None.
 
     sum_{m m'} P~_j^m P~_j'^m' F_{m,m'; l,l'} = P_j^l P_j'^l' exp((l+l') s),
     using F_{m,m'; l,l'} = delta_{m,l} <j' m'|exp(-l s)|j' l'>.
     """
-    j, jp_ = HalfInt.of(j), HalfInt.of(jp_)
-    return _collapse(j, jp_, _pair_products(j, jp_, order), order)
-
-
-def _collapse(j, jp_, products, order):
     for l in weights(j):
         for lp in weights(jp_):
             lhs = WeylElement.zero(order)
@@ -330,8 +304,8 @@ def _collapse(j, jp_, products, order):
             rhs = (classical_symplecton(j, l, order) * classical_symplecton(jp_, lp, order)) \
                 * exp_m_sigma(l + lp, order)
             if lhs != rhs:
-                return False, f"collapse fails at l={l}, l'={lp}"
-    return True, "twist-summed products collapse"
+                return f"collapse fails at l={l}, l'={lp}"
+    return None
 
 
 def twist_conjugation_check(jp_, order):
@@ -358,21 +332,13 @@ def twist_conjugation_check(jp_, order):
     return True, "twist conjugation acts by weight redistribution"
 
 
-def ratio_table(max_j, order):
-    """Reduced-coupling calibration constants, one per spin triple.
-
-    For every (j, j', k) the oracle coefficient divided by the predicted
-    coefficient must be one and the same constant for all weights; the table
-    of those constants is returned.  Raises if any ratio is inconsistent or
-    h-dependent.
-    """
-    table = {}
-    for j, jp_ in _spin_pairs(max_j):
-        table.update(_pair_ratios(j, jp_, _expand(_pair_products(j, jp_, order)), order))
-    return table
-
-
 def _pair_ratios(j, jp_, expansions, order):
+    """Reduced-coupling calibration constants of one spin pair, {(j, j', k): r}.
+
+    For every k the oracle coefficient divided by the predicted coefficient
+    must be one and the same constant for all weights.  Raises ValueError if
+    any ratio is inconsistent or h-dependent.
+    """
     table = {}
     for k in half_range(HalfInt(abs(j.twice - jp_.twice)), j + jp_):
         ratio = None
@@ -404,25 +370,15 @@ def _pair_ratios(j, jp_, expansions, order):
     return table
 
 
-def pairing_check(max_j, order):
-    """Scalar component of reflected products is a dressed twist entry.
-
-    The scalar part of (-1)^(j-m) P~_j^(-m) P~_j'^m' must vanish for j != j'
-    and otherwise equal c_j <j m|exp(-m s)|j m'> with a constant c_j that
-    depends on the spin alone.  Returns (ok, detail, {j: c_j}); the constants
-    are pinned by the diagonal weights, where the twist entry is 1.
-    """
-    return _pairing_outcome([
-        (j, *_pair_pairing(j, jp_, _expand(_pair_products(j, jp_, order)), order))
-        for j, jp_ in _spin_pairs(max_j)])
-
-
 def _pair_pairing(j, jp_, expansions, order):
     """Pairing on one spin pair: (c_j or None, diagonal failure, weight failure).
 
-    The scalar part of a reflected product is read off the expansion of the
-    unreflected one, P~_j^(-m) P~_j'^m', which is exact because the
-    expansion is linear.
+    The scalar part of (-1)^(j-m) P~_j^(-m) P~_j'^m' must vanish for j != j'
+    and otherwise equal c_j <j m|exp(-m s)|j m'> with a constant c_j that
+    depends on the spin alone; c_j is pinned by the diagonal weights, where
+    the twist entry is 1.  The scalar part of a reflected product is read
+    off the expansion of the unreflected one, P~_j^(-m) P~_j'^m', which is
+    exact because the expansion is linear.
     """
     zero = HSeries.zero(order)
 
@@ -447,15 +403,6 @@ def _pair_pairing(j, jp_, expansions, order):
     return const, None, None
 
 
-def _pairing_outcome(results):
-    """Fold per-pair (j, c_j, diagonal failure, weight failure) into
-    (ok, detail, consts); a bad diagonal outranks every weight failure."""
-    consts = {j: c for j, c, _, _ in results if c is not None}
-    bad = (next((d for _, _, d, _ in results if d), None)
-           or next((w for _, _, _, w in results if w), None))
-    return bad is None, bad or "scalar pairing is a spin constant times the twist entry", consts
-
-
 def _verdict(bad, good):
     return bad is None, bad or good
 
@@ -463,22 +410,20 @@ def _verdict(bad, good):
 def product_law_suite(max_j, order):
     """All product-law layers for spins up to max_j, in one pass over spin pairs.
 
-    Each pair's products and their twisted expansions are built once and
-    every layer is read off those two tables.  Returns ({check: (ok,
+    Each pair's products and their exact twisted-basis expansions are built
+    once and every layer is read off those two tables.  Returns ({check: (ok,
     detail)}, ratio table), the table being None when its layer fails.
     """
     bad_product = bad_support = bad_collapse = ratio_error = None
     table, pairing = {}, []
     for j, jp_ in _spin_pairs(max_j):
         products = _pair_products(j, jp_, order)
-        expansions = _expand(products)
+        expansions = {key: decompose_twisted(w) for key, w in products.items()}
         for (m, mp), w in products.items():
             if not _intermediate_holds(j, m, jp_, mp, w, order):
                 bad_product = f"({j},{m};{jp_},{mp})"
-        ok, detail = _support(j, jp_, expansions)
-        bad_support = bad_support if ok else detail
-        ok, detail = _collapse(j, jp_, products, order)
-        bad_collapse = bad_collapse if ok else detail
+        bad_support = _support(j, jp_, expansions) or bad_support
+        bad_collapse = _collapse(j, jp_, products, order) or bad_collapse
         if ratio_error is None:
             try:
                 table.update(_pair_ratios(j, jp_, expansions, order))
@@ -492,12 +437,16 @@ def product_law_suite(max_j, order):
            "ratio_table": _verdict(ratio_error, f"{len(table)} spin triples calibrated")}
     if ratio_error is not None:
         table = None
-    ok, detail, consts = _pairing_outcome(pairing)
-    out["pairing"] = (ok, detail)
+    # per pair (j, c_j, diagonal failure, weight failure); a bad diagonal
+    # outranks every weight failure
+    consts = {j: c for j, c, _, _ in pairing if c is not None}
+    bad = (next((d for _, _, d, _ in pairing if d), None)
+           or next((w for _, _, _, w in pairing if w), None))
+    out["pairing"] = _verdict(bad, "scalar pairing is a spin constant times the twist entry")
 
     # The pairing constant and the scalar calibration of the product law
     # measure the same thing; they must agree as c_j = r(j,j,0) / 4^j.
-    if ok and table is not None:
+    if bad is None and table is not None:
         ok, detail = True, "pairing constants match the product-law calibration"
         for j, c in consts.items():
             want = table[(j, j, HalfInt(0))] * Fraction(1, 2 ** (2 * j).as_int())

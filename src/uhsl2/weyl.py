@@ -220,18 +220,6 @@ def _osc_reorder(q, p):
     return out
 
 
-def weyl_commutator(x, y):
-    return x.commutator(y)
-
-
-def a_gen(order):
-    return WeylElement.monomial(1, 0, order)
-
-
-def abar_gen(order):
-    return WeylElement.monomial(0, 1, order)
-
-
 def j_plus(order):
     """Raising generator, -a^2/2."""
     return WeylElement.monomial(2, 0, order, Fraction(-1, 2))

@@ -12,8 +12,7 @@ from uhsl2.scalar import (HSeries, RadicalSum, HalfInt, half_range, weights,
                           spins_up_to, sqrt_fraction, radical_normalize)
 from uhsl2.su2data import verify_racah_identity
 from uhsl2.weyl import (WeylElement, OscElement, classical_symplecton,
-                        h_symplecton, to_oscillator, exp_m_sigma, a_gen,
-                        abar_gen)
+                        h_symplecton, to_oscillator, exp_m_sigma)
 from uhsl2.reps import (Matrix, cg_matrix, cocycle_check, coupled_basis_suite,
                         ohn_suite, qybe_check, r_triangularity_check,
                         twist_matrix_formula, twist_matrix_oracle,
@@ -93,8 +92,8 @@ def test_07_classical_family_closed_forms():
             assert hypergeometric_form(j, m, 0) == classical_symplecton(j, m, 0), \
                 f"hypergeometric form differs at ({j},{m})"
     # explicit anchors
-    assert classical_symplecton(HALF, HALF, 0) == a_gen(0)
-    assert classical_symplecton(HALF, -HALF, 0) == abar_gen(0)
+    assert classical_symplecton(HALF, HALF, 0) == WeylElement.monomial(1, 0, 0)
+    assert classical_symplecton(HALF, -HALF, 0) == WeylElement.monomial(0, 1, 0)
     assert classical_symplecton(1, 1, 0) == WeylElement.monomial(2, 0, 0)
     p10 = WeylElement({(1, 1): HSeries.constant(radical_normalize(2), 0),
                        (0, 0): HSeries.constant(sqrt_fraction(Fraction(1, 2)), 0)}, 0)

@@ -87,16 +87,12 @@ def test_product_law_expands_each_product_once(monkeypatch):
         calls.append(w)
         return expand(w)
 
-    def forbidden(*args):
-        raise AssertionError("ratio_table recomputes the product table")
-
     monkeypatch.setattr(symplecton, "decompose_twisted", counted)
-    monkeypatch.setattr(symplecton, "ratio_table", forbidden)
     rows = suite_product_law(RunConfig(order=2, max_spin=HalfInt(2)))
     assert len(calls) == 25
     assert all(row["pass"] for row in rows)
     monkeypatch.undo()
-    table = symplecton.ratio_table(HalfInt(2), 2)
+    _, table = symplecton.product_law_suite(HalfInt(2), 2)
     want = [({"j": str(j), "jp": str(jp_), "k": str(k)}, f"ratio = {value}")
             for (j, jp_, k), value in sorted(
                 table.items(), key=lambda kv: tuple(x.twice for x in kv[0]))]
@@ -168,6 +164,17 @@ def test_negative_spin_is_usage_error(capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "nonnegative" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("obj", ["symplecton", "h-symplecton", "plane-basis"])
+@pytest.mark.parametrize("j, m", [("1", "1/2"), ("1", "3"), ("1/2", "-3/2")])
+def test_weight_outside_spin_is_usage_error(capsys, obj, j, m):
+    code = main(["compute", obj, "--j", j, f"--m={m}", "-H", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    allowed = "-1, 0, 1" if j == "1" else "-1/2, 1/2"
+    assert captured.err.strip() == (f"error: --m {m} is not a weight of --j {j}; "
+                                    f"allowed: {allowed}")
 
 
 def test_negative_weight_is_accepted(capsys):

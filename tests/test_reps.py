@@ -7,9 +7,8 @@ from uhsl2.scalar import HalfInt, HSeries, weights
 from uhsl2.reps import (Matrix, cg_matrix, cocycle_check, coupled_basis_suite,
                         exp_sigma_entry, exp_sigma_matrix, flip_tensor,
                         ohn_suite, qybe_check, r_triangularity_check,
-                        second_leg_twist, spin_rep, twist_index,
-                        twist_inverse, twist_matrix_formula,
-                        twist_matrix_oracle, twist_symmetry_check,
+                        second_leg_twist, spin_rep, twist_inverse,
+                        twist_matrix_formula, twist_matrix_oracle, twist_symmetry_check,
                         twisted_hopf_suite, twisted_tensor, universal_r_rep,
                         widx, _cached_spin_rep)
 
@@ -156,7 +155,23 @@ def test_matrix_basics():
     assert flip_tensor(a.kron(b), 2, 2) == b.kron(a)
 
 
-def test_widx_and_twist_index():
+def test_widx_reflects_under_weight_negation():
     assert widx(H32, -H32) == 0
     assert widx(H32, H12) == 2
-    assert twist_index(H12, H12, H12, H12, -H12, -H12) == (3, 0)
+    for j in (H12, HalfInt(2), H32, HalfInt(4)):
+        for m in weights(j):
+            assert widx(j, -m) == j.twice - widx(j, m)
+
+
+def test_twist_symmetry_fails_on_a_perturbed_oracle(monkeypatch):
+    from uhsl2 import reps
+
+    oracle = reps.twist_matrix_oracle
+
+    def perturbed(j1, j2, order):
+        f = oracle(j1, j2, order)
+        return f + Matrix(f.nrows, f.ncols, order, {(1, 0): HSeries.h_power(2, order)})
+
+    assert twist_symmetry_check(H12, HalfInt(2), ORD)
+    monkeypatch.setattr(reps, "twist_matrix_oracle", perturbed)
+    assert not twist_symmetry_check(H12, HalfInt(2), ORD)

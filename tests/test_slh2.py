@@ -3,8 +3,11 @@ structure of the deformed function algebra, the exchange relations, the
 covariant module algebras, and explicit representation matrix elements."""
 
 from fractions import Fraction
+import json
 import random
 
+from uhsl2 import slh2
+from uhsl2.cli import main
 from uhsl2.scalar import HSeries, sqrt_fraction
 from uhsl2.reps import HalfInt, universal_r_rep
 from uhsl2.weyl import OscElement
@@ -18,6 +21,7 @@ from uhsl2.slh2 import (
     group_algebra,
     osc_algebra,
     plane_basis,
+    plane_forms_check,
     relation_elements,
     rtt_check,
     slh2_hopf_suite,
@@ -104,6 +108,32 @@ def test_plane_basis_forms_and_pivot():
         want = HSeries.constant(sqrt_fraction(Fraction(1, fact_2j)), ORDER)
         assert top.terms.get(word) == want, f"leading coefficient wrong at j={j}"
         assert len(top.terms) == 1, f"highest weight element not a monomial at j={j}"
+
+
+def test_plane_forms_agree():
+    for twice in range(1, 6):
+        ok, detail = plane_forms_check(HalfInt(twice), 8)
+        assert ok, detail
+
+
+def test_plane_form_mismatch_fails_the_routes_row(capsys, monkeypatch):
+    # a plane basis that is wrong when built on its own; dfunction passes
+    # the module coordinates as a prefix, so its matrices stay right
+    built = slh2.plane_basis
+
+    def wrong(j, m, order, pres=None, prefix=None):
+        e = built(j, m, order, pres, prefix)
+        return e.scale(2) if prefix is None and m == -j else e
+
+    monkeypatch.setattr(slh2, "plane_basis", wrong)
+    code = main(["verify", "--suite", "dfunctions", "-H", "2", "--format", "json"])
+    assert code == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    failed = [(row["check"], row["params"]["j"], row["detail"])
+              for row in rows if not row["pass"]]
+    assert failed == [("plane_and_oscillator_routes_agree", j,
+                       f"plane basis forms disagree at j={j}, m=-{j}")
+                      for j in ("1/2", "1", "3/2")]
 
 
 def test_dfunction_spin_half_is_matrix_of_letters():

@@ -9,12 +9,9 @@ from uhsl2.scalar import (HSeries, HalfInt, RadicalSum, half_range, spins_up_to,
                           sqrt_fraction, weights)
 from uhsl2.symplecton import (decompose_twisted, generating_function_check,
                               generator_reconstruction_check, h_symplecton_forms_check,
-                              hypergeometric_form, pairing_check,
-                              product_intermediate_check, product_law_suite,
-                              product_oracle, product_support_check, ratio_table,
+                              hypergeometric_form, product_law_suite,
                               symmetry_check, tensor_operator_check,
-                              twist_conjugation_check, twisted_sum_collapse_check,
-                              weight_one_commutator_check)
+                              twist_conjugation_check, weight_one_commutator_check)
 from uhsl2.weyl import WeylElement, classical_symplecton, h_symplecton
 
 
@@ -68,26 +65,28 @@ def test_decompose_twisted_roundtrip():
         assert got == want, f"round trip failed for picks {picks}"
 
 
-def test_product_intermediate_identity():
-    for j in (HalfInt(1), HalfInt(2)):
-        for jp in (HalfInt(1), HalfInt(2)):
-            for m in weights(j):
-                for mp in weights(jp):
-                    assert product_intermediate_check(j, m, jp, mp, 4), \
-                        f"intermediate identity fails at ({j},{m};{jp},{mp})"
+@pytest.fixture(scope="module")
+def law_to_spin_one():
+    """product_law_suite over the spin pairs of 1/2 and 1, at order 4."""
+    return product_law_suite(HalfInt(2), 4)
 
 
-def test_product_support():
-    ok, detail = product_support_check(HalfInt(2), HalfInt(2), 4)
+def test_product_intermediate_identity(law_to_spin_one):
+    # every (j, m; j', m') with j, j' in {1/2, 1}
+    ok, detail = law_to_spin_one[0]["intermediate_identity"]
+    assert ok, f"intermediate identity fails at {detail}"
+
+
+def test_product_support(law_to_spin_one):
+    ok, detail = law_to_spin_one[0]["support"]
     assert ok, detail
-    ok, detail = product_support_check(HalfInt(1), HalfInt(3), 4)
+    # the pair (1/2, 3/2) needs the suite up to spin 3/2
+    ok, detail = product_law_suite(HalfInt(3), 4)[0]["support"]
     assert ok, detail
 
 
-def test_twisted_sum_collapse():
-    ok, detail = twisted_sum_collapse_check(HalfInt(1), HalfInt(1), 4)
-    assert ok, detail
-    ok, detail = twisted_sum_collapse_check(HalfInt(2), HalfInt(1), 4)
+def test_twisted_sum_collapse(law_to_spin_one):
+    ok, detail = law_to_spin_one[0]["twisted_sum_collapse"]
     assert ok, detail
 
 
@@ -98,8 +97,8 @@ def test_twist_conjugation():
     assert ok, detail
 
 
-def test_ratio_table_values():
-    table = ratio_table(HalfInt(2), 4)
+def test_ratio_table_values(law_to_spin_one):
+    table = law_to_spin_one[1]
     half = HalfInt(1)
     one = HalfInt(2)
     assert table[(half, half, HalfInt(0))] == RadicalSum.one(), \
@@ -113,13 +112,18 @@ def test_ratio_table_values():
                 assert (j, jp, k) in table, f"missing calibration for ({j},{jp},{k})"
 
 
-def test_scalar_pairing():
-    ok, detail, consts = pairing_check(HalfInt(2), 4)
+def test_scalar_pairing(law_to_spin_one):
+    checks, table = law_to_spin_one
+    ok, detail = checks["pairing"]
     assert ok, detail
-    assert consts[HalfInt(1)] == RadicalSum.from_rational(Fraction(1, 2)), \
+    # pairing_normalization passes exactly when c_j = r(j,j,0) / 4^j, so
+    # r(1/2,1/2,0) = 1 and r(1,1,0) = 2 give c_1/2 = c_1 = 1/2
+    ok, detail = checks["pairing_normalization"]
+    assert ok, detail
+    assert table[(HalfInt(1), HalfInt(1), HalfInt(0))] == RadicalSum.one(), \
         "spin-1/2 pairing constant should be 1/2"
-    assert consts[HalfInt(2)] == RadicalSum.from_rational(Fraction(1, 2)), \
-        "spin-1 pairing constant should be 1/2"
+    assert table[(HalfInt(2), HalfInt(2), HalfInt(0))] \
+        == RadicalSum.from_rational(Fraction(2)), "spin-1 pairing constant should be 1/2"
 
 
 def test_weight_one_commutators():
@@ -152,7 +156,8 @@ def test_product_law_suite_spin_half():
 def test_product_oracle_classical_limit():
     # a * abar = P(1,0)/sqrt(2) - 1/2 classically; the twisted correction
     # enters only at order h and the scalar piece stays put.
-    decomp = product_oracle(HalfInt(1), HalfInt(1), HalfInt(1), HalfInt(-1), 3)
+    half = HalfInt(1)
+    decomp = decompose_twisted(h_symplecton(half, half, 3) * h_symplecton(half, -half, 3))
     c_one = decomp[(HalfInt(2), HalfInt(0))]
     c_zero = decomp[(HalfInt(0), HalfInt(0))]
     assert c_one == HSeries.constant(sqrt_fraction(Fraction(1, 2)), 3), \
