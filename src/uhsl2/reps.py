@@ -91,10 +91,7 @@ class Matrix(SeriesCombination):
                       {key: v.divide_exact(k) for key, v in self.terms.items()})
 
     def _nilpotent_series(self, coeff):
-        """sum_k coeff(k) N^k for this matrix N, stopping once N^k vanishes.
-
-        A coefficient of 0 or +-1 costs nothing or a negation, never a scale.
-        """
+        """sum_k coeff(k) N^k for this matrix N, stopping once N^k vanishes."""
         n, order = self.nrows, self.order
         if n != self.ncols:
             raise ValueError(f"power series of a non-square {n}x{self.ncols} matrix")
@@ -107,7 +104,7 @@ class Matrix(SeriesCombination):
                     return total
             c = coeff(k)
             if c:
-                total = total + (power if c == 1 else -power if c == -1 else power.scale(c))
+                total = total + power.scale(c)
         raise ValueError(f"{n}x{n} matrix is not nilpotent at order {order}")
 
     def exp_nilpotent(self):

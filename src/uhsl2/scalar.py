@@ -1,11 +1,11 @@
 """Exact scalar arithmetic, and the sparse container built on it.
 
-Three layers, all built on fractions.Fraction:
+Three layers:
 
   RadicalSum  rational linear combinations of square roots of distinct
               square-free positive integers (the key 1 stands for sqrt(1)).
   HSeries     polynomial in the deformation parameter h, truncated at a
-              fixed order, with RadicalSum coefficients.
+              fixed order, stored as integer rows over one denominator.
   HalfInt     half-integer spin / weight labels, stored as twice the value.
 
 SeriesCombination is the finite sum {key: HSeries} shared by the polynomial
@@ -17,6 +17,8 @@ That is the only inversion the rest of the package ever needs.
 """
 
 from fractions import Fraction
+from functools import lru_cache, total_ordering
+from math import gcd, lcm
 
 
 def _square_free_split(n):
@@ -35,6 +37,12 @@ def _square_free_split(n):
                 r *= d
         d += 1 if d == 2 else 2
     return s, r * m
+
+
+@lru_cache(maxsize=None)
+def _radical_product(r1, r2):
+    """(s, r) with sqrt(r1)*sqrt(r2) = s*sqrt(r), r square-free."""
+    return _square_free_split(r1 * r2)
 
 
 def radical_normalize(n, q=1):
@@ -128,20 +136,11 @@ class RadicalSum:
         out = {}
         for r1, q1 in self.terms.items():
             for r2, q2 in other.terms.items():
-                # sqrt(r1)*sqrt(r2) = g*sqrt(r1*r2/g^2) with g = gcd(r1, r2)
-                s, r = _square_free_split(r1 * r2)
+                s, r = _radical_product(r1, r2)
                 out[r] = out.get(r, Fraction(0)) + q1 * q2 * s
         return RadicalSum(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"bad radical power {k}")
-        out = RadicalSum.one()
-        for _ in range(k):
-            out = out * self
-        return out
 
     def invert(self):
         """Exact inverse; defined only when the sum has a single term."""
@@ -195,29 +194,48 @@ class RadicalSum:
                 for r in sorted(self.terms)]
 
 
-_R_ZERO = RadicalSum()
-
-
 class HSeries:
     """Truncated polynomial sum_{k<=order} c_k*h^k with RadicalSum coefficients.
+
+    Stored flat, like FLINT's fmpq_poly: c_k = sum_r num[r][k]/den * sqrt(r),
+    with one row of order + 1 integer numerators per radicand r and one
+    positive common denominator.  The form is canonical (no all-zero row, den
+    coprime to the numerators), so == and hash compare (order, den, num).
+    Series are immutable; rows may be shared and are never written to.
 
     Arithmetic requires both operands to carry the same truncation order;
     mixing orders silently would hide loss of precision, so it is an error.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("num", "den", "order")
 
     def __init__(self, coeffs, order):
         coeffs = list(coeffs)
         if len(coeffs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
-        self.coeffs = [c if isinstance(c, RadicalSum) else RadicalSum({1: Fraction(c)})
-                       for c in coeffs]
-        self.order = order
+        total = sum((HSeries.h_power(k, order, c) for k, c in enumerate(coeffs)),
+                    HSeries.zero(order))
+        self.num, self.den, self.order = total.num, total.den, order
+
+    @staticmethod
+    def _new(num, den, order):
+        """Trusted constructor: num and den are already in canonical form."""
+        out = object.__new__(HSeries)
+        out.num, out.den, out.order = num, den, order
+        return out
+
+    @staticmethod
+    def _make(num, den, order):
+        """Canonical series from integer rows over den > 0: reduce, drop zero rows."""
+        num = {r: row for r, row in num.items() if any(row)}
+        g = gcd(den, *(gcd(*row) for row in num.values()))
+        if g != 1:
+            num = {r: [x // g for x in row] for r, row in num.items()}
+        return HSeries._new(num, den // g, order)
 
     @staticmethod
     def zero(order):
-        return HSeries([_R_ZERO] * (order + 1), order)
+        return HSeries._new({}, 1, order)
 
     @staticmethod
     def one(order):
@@ -225,19 +243,22 @@ class HSeries:
 
     @staticmethod
     def constant(value, order):
-        out = HSeries.zero(order)
-        v = value if isinstance(value, RadicalSum) else RadicalSum({1: Fraction(value)})
-        out.coeffs[0] = v
-        return out
+        return HSeries.h_power(0, order, value)
 
     @staticmethod
     def h_power(k, order, value=1):
         """value * h^k at the given truncation order."""
-        out = HSeries.zero(order)
-        if k <= order:
-            v = value if isinstance(value, RadicalSum) else RadicalSum({1: Fraction(value)})
-            out.coeffs[k] = v
-        return out
+        if k > order:
+            return HSeries.zero(order)
+        # an int or a Fraction is its own numerator over its denominator
+        terms = value.terms if isinstance(value, RadicalSum) else {1: value}
+        den = lcm(*(q.denominator for q in terms.values()))
+        num = {}
+        for r, q in terms.items():
+            if q:
+                row = num[r] = [0] * (order + 1)
+                row[k] = q.numerator * (den // q.denominator)
+        return HSeries._new(num, den, order)
 
     def _check(self, other):
         if self.order != other.order:
@@ -251,25 +272,56 @@ class HSeries:
         return None
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.num
 
-    def __add__(self, other):
+    def coeff(self, k):
+        """The RadicalSum coefficient of h^k, for 0 <= k <= order."""
+        if not 0 <= k <= self.order:
+            raise ValueError(f"no h^{k} coefficient in an order-{self.order} series")
+        return RadicalSum({r: Fraction(row[k], self.den) for r, row in self.num.items()})
+
+    # all order + 1 coefficients as RadicalSums, built on each read
+    coeffs = property(lambda self: [self.coeff(k) for k in range(self.order + 1)])
+
+    def is_constant(self):
+        """Whether every coefficient above h^0 vanishes."""
+        return not any(any(row[1:]) for row in self.num.values())
+
+    def _rational(self):
+        """The numerator n of a nonzero rational constant n/den, else None."""
+        row = self.num.get(1)
+        return row[0] if len(self.num) == 1 and row and not any(row[1:]) else None
+
+    def _plus(self, other, sign):
+        """self + sign*other, over the lcm of the two denominators."""
         other = self._coerced(other)
         if other is None:
             return NotImplemented
         self._check(other)
-        return HSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
+        if not other.num:
+            return self
+        if not self.num:
+            return other if sign > 0 else -other
+        g = gcd(self.den, other.den)
+        m1, m2 = other.den // g, sign * (self.den // g)
+        out = {r: [a * m1 for a in row] for r, row in self.num.items()}
+        for r, row in other.num.items():
+            acc = out.get(r)
+            out[r] = ([b * m2 for b in row] if acc is None
+                      else [a + b * m2 for a, b in zip(acc, row)])
+        return HSeries._make(out, self.den * m1, self.order)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HSeries([-c for c in self.coeffs], self.order)
+        return HSeries._new({r: [-a for a in row] for r, row in self.num.items()},
+                            self.den, self.order)
 
     def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -279,36 +331,52 @@ class HSeries:
         if other is None:
             return NotImplemented
         self._check(other)
-        out = [_R_ZERO] * (self.order + 1)
-        left = [(i, c) for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        right = [(j, c) for j, c in enumerate(other.coeffs) if not c.is_zero()]
-        for i, a in left:
-            for j, b in right:
-                if i + j <= self.order:
-                    out[i + j] = out[i + j] + a * b
-        return HSeries(out, self.order)
+        order = self.order
+        for a, b in ((self, other), (other, self)):
+            n = a._rational()
+            if n is None:
+                continue
+            if a.den == 1 and n in (1, -1):
+                return b if n == 1 else -b
+            return HSeries._make({r: [x * n for x in row] for r, row in b.num.items()},
+                                 b.den * a.den, order)
+        left = [(r, [(i, a) for i, a in enumerate(row) if a]) for r, row in self.num.items()]
+        out = {}
+        for r2, row2 in other.num.items():
+            right = [(j, b) for j, b in enumerate(row2) if b]
+            for r1, nz1 in left:
+                s, r = _radical_product(r1, r2)
+                acc = out.get(r) or out.setdefault(r, [0] * (order + 1))
+                for j, b in right:
+                    b *= s
+                    for i, a in nz1:
+                        if i + j > order:
+                            break
+                        acc[i + j] += a * b
+        return HSeries._make(out, self.den * other.den, order)
 
     __rmul__ = __mul__
 
     def scale(self, value):
-        v = value if isinstance(value, RadicalSum) else RadicalSum({1: Fraction(value)})
-        return HSeries([c * v for c in self.coeffs], self.order)
+        return self * HSeries.constant(value, self.order)
 
     def __eq__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
         self._check(other)
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
+        return hash((self.order, self.den,
+                     frozenset((r, tuple(row)) for r, row in self.num.items())))
 
     def truncate(self, new_order):
         """Drop coefficients above new_order (new_order <= order)."""
         if new_order > self.order:
             raise ValueError(f"cannot raise truncation order {self.order} -> {new_order}")
-        return HSeries(self.coeffs[:new_order + 1], new_order)
+        return HSeries._make({r: row[:new_order + 1] for r, row in self.num.items()},
+                             self.den, new_order)
 
     def divide_exact(self, k):
         """Exact division by h^k.  The result only carries order - k.
@@ -320,35 +388,33 @@ class HSeries:
             return self
         if k < 0 or k > self.order:
             raise ValueError(f"cannot divide order-{self.order} series by h^{k}")
-        for i in range(k):
-            if not self.coeffs[i].is_zero():
-                raise ValueError(f"series not divisible by h^{k}: h^{i} term is {self.coeffs[i]}")
-        return HSeries(self.coeffs[k:], self.order - k)
+        v = self.valuation()
+        if v is not None and v < k:
+            raise ValueError(f"series not divisible by h^{k}: h^{v} term is {self.coeff(v)}")
+        return HSeries._make({r: row[k:] for r, row in self.num.items()},
+                             self.den, self.order - k)
 
     def valuation(self):
         """Lowest k with a nonzero h^k coefficient, or None for the zero series."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
-        return None
+        return min((next(i for i, a in enumerate(row) if a) for row in self.num.values()),
+                   default=None)
 
     def at_h0(self):
-        return self.coeffs[0]
+        return self.coeff(0)
 
     def invert_unit(self):
         """Exact inverse of a series whose constant term is a single radical term."""
-        c0inv = self.coeffs[0].invert()
-        out = HSeries.constant(c0inv, self.order)
-        rest = HSeries([_R_ZERO] + self.coeffs[1:], self.order)
-        # Neumann series in the nilpotent part rest/c0
-        term = HSeries.one(self.order)
-        acc = HSeries.one(self.order)
+        c0 = self.at_h0()
+        c0inv = c0.invert()
+        # Neumann series in the nilpotent part (self - c0)/c0
+        step = (self - c0).scale(-c0inv)
+        term = acc = HSeries.one(self.order)
         for _ in range(self.order):
-            term = term * rest.scale(-c0inv)
+            term = term * step
             if term.is_zero():
                 break
             acc = acc + term
-        return acc * out
+        return acc.scale(c0inv)
 
     def __str__(self):
         parts = []
@@ -497,6 +563,7 @@ class SeriesCombination:
         return self.space == other.space and self.terms == other.terms
 
 
+@total_ordering
 class HalfInt:
     """Half-integer stored as twice its value, so it hashes and compares exactly."""
 
@@ -573,15 +640,6 @@ class HalfInt:
 
     def __lt__(self, other):
         return self.twice < HalfInt.of(other).twice
-
-    def __le__(self, other):
-        return self.twice <= HalfInt.of(other).twice
-
-    def __gt__(self, other):
-        return self.twice > HalfInt.of(other).twice
-
-    def __ge__(self, other):
-        return self.twice >= HalfInt.of(other).twice
 
     def __hash__(self):
         return hash(self.as_fraction())

@@ -46,13 +46,6 @@ class Presentation:
         self.index = {g: i for i, g in enumerate(self.gens)}
         self.order = order
         self.rules = rules
-        # Each right-hand side as (word, coeff, sign): sign is +1 or -1 when
-        # the coefficient is that unit, so the rewrite reuses or negates the
-        # incoming coefficient instead of multiplying by it; 0 otherwise.
-        one = HSeries.one(order)
-        self._rhs = {pair: [(rw, rc, 1 if rc == one else -1 if rc == -one else 0)
-                            for rw, rc in rhs.items()]
-                     for pair, rhs in rules.items()}
         self.check_confluence()
 
     def __repr__(self):
@@ -60,7 +53,7 @@ class Presentation:
 
     def _redex(self, word, start):
         """Position of the leftmost rewritable pair at or after start, or -1."""
-        rules = self._rhs
+        rules = self.rules
         for i in range(start, len(word) - 1):
             if (word[i], word[i + 1]) in rules:
                 return i
@@ -106,9 +99,8 @@ class Presentation:
                     f"{'*'.join(self.pretty_word(word))}")
             head, tail = word[:pos], word[pos + 2:]
             start = max(pos - 1, 0)
-            for rw, rc, sign in self._rhs[(word[pos], word[pos + 1])]:
-                c = coeff if sign > 0 else -coeff if sign < 0 else coeff * rc
-                put(head + rw + tail, c, start)
+            for rw, rc in self.rules[(word[pos], word[pos + 1])].items():
+                put(head + rw + tail, coeff * rc, start)
         return out
 
     def check_confluence(self):

@@ -10,6 +10,7 @@ coefficient here), computed from the standard single-sum closed forms.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .scalar import HalfInt, RadicalSum, half_range, sqrt_fraction, weights
 
@@ -25,10 +26,7 @@ def fact(x):
         n = int(f)
     if n < 0:
         raise ValueError(f"factorial of negative {n}")
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return factorial(n)
 
 
 def triangle_ok(a, b, c):

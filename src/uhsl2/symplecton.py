@@ -204,7 +204,7 @@ def decompose_twisted(w):
     rest = w
     out = {}
     for t in range(order + 1):
-        layer = WeylElement({key: HSeries.constant(c.coeffs[t], order)
+        layer = WeylElement({key: HSeries.constant(c.coeff(t), order)
                              for key, c in rest.terms.items()}, order)
         if layer.is_zero():
             continue
@@ -353,9 +353,9 @@ def _pair_ratios(j, jp_, expansions, order):
                             f"({j},{m};{jp_},{mp}) -> ({k},{mu})")
                     continue
                 t = f.valuation()
-                fc = f.coeffs[t]
+                fc = f.coeff(t)
                 r = o.divide_exact(t).scale(fc.invert())
-                if any(not c.is_zero() for c in r.coeffs[1:]):
+                if not r.is_constant():
                     raise ValueError(
                         f"h-dependent ratio at ({j},{m};{jp_},{mp}) -> ({k},{mu})")
                 r0 = r.at_h0()
@@ -389,7 +389,7 @@ def _pair_pairing(j, jp_, expansions, order):
     const = None
     if j == jp_:
         ref = scalar_part(j, j)
-        if any(not c.is_zero() for c in ref.coeffs[1:]) or ref.at_h0().is_zero():
+        if not ref.is_constant() or ref.at_h0().is_zero():
             return None, f"diagonal pairing at j={j} is not a nonzero constant", None
         const = ref.at_h0()
     for m in weights(j):

@@ -16,6 +16,7 @@ binomial series and agree under the conversion maps below.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .scalar import (SCALARS, HalfInt, HSeries, SeriesCombination, add_into,
                      as_series, sqrt_fraction)
@@ -25,10 +26,8 @@ from .su2data import fact
 def _gen_binom(alpha, k):
     """Generalized binomial coefficient alpha*(alpha-1)*...*(alpha-k+1)/k!."""
     alpha = Fraction(alpha)
-    out = Fraction(1)
-    for i in range(k):
-        out *= alpha - i
-    return out / fact(k)
+    p, q = alpha.numerator, alpha.denominator
+    return Fraction(prod(p - i * q for i in range(k)), q ** k * fact(k))
 
 
 def _scalar_of(m):
@@ -113,10 +112,7 @@ class _NormalPoly(SeriesCombination):
         parts = []
         for (p, q) in sorted(self.terms, key=lambda k: (-(k[0] + k[1]), -k[0])):
             c = self.terms[(p, q)]
-            if all(x.is_zero() for x in c.coeffs[1:]):
-                body = str(c.coeffs[0])
-            else:
-                body = str(c).split(" (mod")[0]
+            body = str(c.at_h0()) if c.is_constant() else str(c).split(" (mod")[0]
             cs = f"({body})" if " " in body else body
             mono = "*".join(n if e == 1 else f"{n}^{e}"
                             for n, e in ((na, p), (nb, q)) if e)
@@ -143,6 +139,7 @@ class WeylElement(_NormalPoly):
     """Normal-ordered element of the Weyl algebra, abar a = a abar + 1."""
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def _reorder_terms(p1, q1, p2, q2):
         # abar^q a^p = sum_k k! C(q,k) C(p,k) a^(p-k) abar^(q-k)
         out = []
@@ -150,7 +147,7 @@ class WeylElement(_NormalPoly):
             extra = fact(k) * _gen_binom(q1, k) * _gen_binom(p2, k)
             out.append(((p1 + p2 - k, q1 + q2 - k),
                         None if extra == 1 else Fraction(extra)))
-        return out
+        return tuple(out)
 
     def _str_names(self):
         return "a", "abar"

@@ -1,6 +1,9 @@
 """Command-line interface: output shapes, determinism, and exit codes."""
 
+import hashlib
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -13,6 +16,54 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+# SHA-256 of the stdout of each `compute` line, recorded before the flat
+# coefficient ring replaced the list-of-RadicalSum series; the first eight are
+# the README examples.
+README_COMPUTE = {
+    "compute symplecton --j 1 --m 0":
+        "d3b1d29c3d6fef112c94e4a7f1812259dc25680655eba7d139b78a82ccb1e774",
+    "compute h-symplecton --j 1 --m 0 -H 6 --realization osc":
+        "684ca88f960728e62a3b89fbdd44c87ee9392b52feaecc1773f173a28a2b5670",
+    "compute fmatrix --j1 1/2 --j2 1/2 -H 8 --format json":
+        "12c977c6172db1fa62259b56668f84a0ae1fa9306491cb56d48c98680f47b805",
+    "compute rmatrix --j1 1/2 --j2 1 -H 8":
+        "d2dcd733e9b3280809ce98a0e6d74975f8a0506ae6e513f2f47b4b334af43c78",
+    "compute cgc --j1 1/2 --j2 1/2 --j 1 --m1 1/2 --m2=-1/2":
+        "6181c5234685ae6688a0b9554ae25722bcb0af12f5e2a6defe8f36b18cc14074",
+    "compute racah --a 1 --b 1/2 --c 1/2 --d 1 --e 1/2 --f 1/2":
+        "d10c5fbef318bbf20f5b599c241c99871e4a2163bf4670a31ba9cd7cb9c20cb0",
+    "compute dfun --j 1 -H 8 --format json":
+        "0dbdc38de278a5bf6dee9ea98cf6f9212588768c3bd937d3b03c71545b1eda5c",
+    "compute plane-basis --j 3/2 --m 1/2 -H 8":
+        "754b5f3ba74690825c5296707e2d3b98849772c03a953bf385520164431f23ba",
+}
+LARGER_COMPUTE = {
+    "compute dfun --j 2 -H 8 --format json":
+        "ed3bfa099e823f91835575579e484ae0d7db40a8a524958e09cd7aaf1626380d",
+    "compute fmatrix --j1 3/2 --j2 2 -H 16 --format json":
+        "1a3af95bf8906db03f13ebb9bb06f3bfd1d99fc042f6deddc0c5b2f3a7224f5e",
+    "compute rmatrix --j1 1 --j2 3/2 -H 12":
+        "39a8812fbf7f80d64c3aa09f7587f0b77b47196a981f16e6c3993249b74cfaf5",
+    "compute h-symplecton --j 2 --m 1 -H 8 --format json":
+        "662e48b29d18a9673200c16a384fa3f6acfa769255a8f855738ed31b4425b377",
+}
+
+
+def test_readme_compute_lines_are_pinned():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line.split(" ", 1)[1] for line in readme.read_text().splitlines()
+             if line.startswith("uhsl2 compute ")]
+    assert lines == list(README_COMPUTE)
+
+
+@pytest.mark.parametrize("line, digest", [*README_COMPUTE.items(),
+                                          *LARGER_COMPUTE.items()])
+def test_compute_output_bytes(capsys, line, digest):
+    code, out = run(capsys, *shlex.split(line))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_list_suites(capsys):

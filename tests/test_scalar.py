@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -129,6 +130,189 @@ def test_series_ring_properties():
 def test_series_str():
     s = HSeries.one(2) - HSeries.h_power(2, 2, radical_normalize(2))
     assert str(s) == "1 - sqrt(2)*h^2 (mod h^3)"
+
+
+# Reference ring: a series is a plain list of RadicalSum coefficients, the
+# layout HSeries had before it stored integer rows over one denominator.  The
+# products and sums below work on the coefficients' term dicts directly and
+# multiply radicals through gcd, not through the ring's square-free split.
+
+RADICANDS = (1, 2, 3, 5, 6, 10, 15)
+
+
+def ref_coeff_add(x, y, sign=1):
+    out = dict(x.terms)
+    for r, q in y.terms.items():
+        out[r] = out.get(r, 0) + sign * q
+    return RadicalSum(out)
+
+
+def ref_coeff_mul(x, y):
+    out = {}
+    for r1, q1 in x.terms.items():
+        for r2, q2 in y.terms.items():
+            g = gcd(r1, r2)  # sqrt(r1 r2) = g sqrt(r1 r2 / g^2) for square-free r1, r2
+            r = r1 * r2 // (g * g)
+            out[r] = out.get(r, 0) + q1 * q2 * g
+    return RadicalSum(out)
+
+
+def ref_add(a, b, sign=1):
+    return [ref_coeff_add(x, y, sign) for x, y in zip(a, b)]
+
+
+def ref_mul(a, b):
+    out = [RadicalSum.zero()] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:len(a) - i]):
+            out[i + j] = ref_coeff_add(out[i + j], ref_coeff_mul(x, y))
+    return out
+
+
+def ref_invert_unit(a):
+    [(r, q)] = a[0].terms.items()
+    c0inv = RadicalSum({r: 1 / (q * r)})
+    out = [c0inv]
+    for k in range(1, len(a)):
+        acc = RadicalSum.zero()
+        for i in range(1, k + 1):
+            acc = ref_coeff_add(acc, ref_coeff_mul(a[i], out[k - i]))
+        out.append(ref_coeff_mul(RadicalSum({r: -q for r, q in acc.terms.items()}), c0inv))
+    return out
+
+
+def ref_json(a):
+    return {"order": len(a) - 1,
+            "coeffs": [[[c.terms[r].numerator, c.terms[r].denominator, r]
+                        for r in sorted(c.terms)] for c in a]}
+
+
+def ref_str(a):
+    parts = []
+    for k, c in enumerate(a):
+        if c.is_zero():
+            continue
+        cs = str(c)
+        cs = f"({cs})" if " " in cs else cs
+        hk = "" if k == 0 else "h" if k == 1 else f"h^{k}"
+        if not hk:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(hk)
+        elif cs == "-1":
+            parts.append(f"-{hk}")
+        else:
+            parts.append(f"{cs}*{hk}")
+    body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    return f"{body} (mod h^{len(a)})"
+
+
+def rand_coeff(rng, density):
+    if rng.random() > density:
+        return RadicalSum.zero()
+    return RadicalSum({r: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                       for r in rng.sample(RADICANDS, rng.randint(1, 3))})
+
+
+def rand_coeffs(rng, order, density):
+    return [rand_coeff(rng, density) for _ in range(order + 1)]
+
+
+def assert_canonical(x):
+    assert x.den > 0
+    assert all(len(row) == x.order + 1 and any(row) for row in x.num.values())
+    assert gcd(x.den, *(n for row in x.num.values() for n in row)) == 1
+    assert x.is_zero() == (not x.num) and (x.num or x.den == 1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 8, 16])
+@pytest.mark.parametrize("density", [1.0, 0.3])
+def test_series_against_reference_ring(order, density):
+    rng = random.Random(1000 * order + int(10 * density))
+    for _ in range(12):
+        ra, rb = rand_coeffs(rng, order, density), rand_coeffs(rng, order, density)
+        a, b = HSeries(ra, order), HSeries(rb, order)
+        assert a.coeffs == ra and b.coeffs == rb
+        results = [(a + b, ref_add(ra, rb)), (a - b, ref_add(ra, rb, -1)),
+                   (-a, ref_add([RadicalSum.zero()] * (order + 1), ra, -1)),
+                   (a * b, ref_mul(ra, rb))]
+        c = rand_coeff(rng, 1.0)
+        results.append((a.scale(c), [ref_coeff_mul(x, c) for x in ra]))
+        k = rng.randint(0, order)
+        results.append((a.truncate(k), ra[:k + 1]))
+        low = [RadicalSum.zero()] * k + ra[k:]
+        results.append((HSeries(low, order).divide_exact(k), ra[k:]))
+        unit = [RadicalSum({rng.choice(RADICANDS): Fraction(rng.choice((-3, -1, 1, 2)),
+                                                             rng.randint(1, 12))})] + ra[1:]
+        results.append((HSeries(unit, order).invert_unit(), ref_invert_unit(unit)))
+        for got, want in results:
+            assert_canonical(got)
+            assert got.coeffs == want
+            assert got == HSeries(want, got.order)
+            assert got.to_json() == ref_json(want)
+            assert str(got) == ref_str(want)
+
+
+@pytest.mark.parametrize("order", [0, 1, 8, 16])
+def test_series_canonical_form(order):
+    rng = random.Random(order)
+    for _ in range(20):
+        a = HSeries(rand_coeffs(rng, order, 0.6), order)
+        b = HSeries(rand_coeffs(rng, order, 0.6), order)
+        back = (a + b) - b
+        assert back == a and hash(back) == hash(a)
+        assert (back.num, back.den) == (a.num, a.den)
+        comm = a * b - b * a
+        assert comm == HSeries.zero(order)
+        assert (comm.num, comm.den) == ({}, 1)
+    half = HSeries.constant(Fraction(1, 2), order)
+    assert ((half + half).num, (half + half).den) == ({1: [1] + [0] * order}, 1)
+
+
+def test_series_unit_products():
+    rng = random.Random(5)
+    a = HSeries(rand_coeffs(rng, 8, 1.0), 8)
+    one = HSeries.one(8)
+    for unit, want in ((one, a), (-one, -a), (1, a), (-1, -a)):
+        assert a * unit == want and unit * a == want
+    assert (a * -one).coeffs == [-c for c in a.coeffs]
+    assert a * Fraction(-2, 3) == a.scale(Fraction(-2, 3))
+    assert (a * -one + a).is_zero()
+
+
+def test_series_coefficient_reads():
+    s = HSeries.constant(radical_normalize(2), 3) + HSeries.h_power(2, 3, Fraction(1, 3))
+    assert s.coeff(0) == radical_normalize(2) and s.coeff(1).is_zero()
+    assert s.coeff(2) == RadicalSum({1: Fraction(1, 3)})
+    assert not s.is_constant() and s.truncate(1).is_constant()
+    assert HSeries.zero(3).is_constant()
+    with pytest.raises(ValueError):
+        s.coeff(4)
+    with pytest.raises(AttributeError):
+        s.coeffs = []
+
+
+def test_series_ring_laws_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    order = 4
+    fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+    coeff = st.dictionaries(st.sampled_from(RADICANDS), fractions, max_size=2).map(RadicalSum)
+    series = st.lists(coeff, min_size=order + 1, max_size=order + 1).map(
+        lambda cs: HSeries(cs, order))
+    unit_head = st.tuples(st.sampled_from(RADICANDS),
+                          fractions.filter(bool)).map(lambda rq: RadicalSum({rq[0]: rq[1]}))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(series, series, series, unit_head)
+    def laws(a, b, c, head):
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+        u = a + HSeries.constant(head - a.at_h0(), order)
+        assert u * u.invert_unit() == HSeries.one(order)
+
+    laws()
 
 
 def test_half_int():
