@@ -12,11 +12,12 @@ terminates because its argument is nilpotent.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 
 from .scalar import (SCALARS, HalfInt, HSeries, SeriesCombination, add_into,
                      sqrt_fraction, weights)
-from .su2data import cgc, fact, half_range
-from .weyl import _gen_binom, ladder_coeff
+from .su2data import cgc, half_range
+from .weyl import ladder_coeff
 
 
 class Matrix(SeriesCombination):
@@ -109,7 +110,7 @@ class Matrix(SeriesCombination):
 
     def exp_nilpotent(self):
         """exp of a nilpotent matrix; raises if powers fail to vanish."""
-        return self._nilpotent_series(lambda k: Fraction(1, fact(k)))
+        return self._nilpotent_series(lambda k: Fraction(1, factorial(k)))
 
     def log_unipotent(self):
         """log of I + N with N nilpotent."""
@@ -239,46 +240,38 @@ def _dfact(n):
 
 
 def twist_matrix_formula(j1, j2, order):
-    """F from the closed-form matrix elements.
+    """F from the closed-form matrix elements, in Python ints.
 
-    Entries are single monomials in h.  The m1 = 0 rows reduce to the
-    identity block (exp(0) = 1); the double-factorial product is empty
-    there, so that case is handled separately.
+    In the block of weight m1 the entry at (k2, m2) is the monomial
+    q*sqrt(ratio)*h^d with d = k2 - m2 >= 0.  With the basis indices
+    a = j2 + m2 and b = j2 + k2, ratio = (2j2-a)! b! / (a! (2j2-b)!) and q is
+    rational.  Entries with d > order are cut.  The m1 = 0 rows reduce to the
+    identity block (exp(0) = 1); the double-factorial product is empty there,
+    so that case is handled separately.
     """
     j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
     n1, n2 = _dim(j1), _dim(j2)
+    top = n2 - 1
     out = {}
-    for m1 in weights(j1):
-        i1 = widx(j1, m1)
-        if m1.twice == 0:
-            for m2 in weights(j2):
-                out[(i1 * n2 + widx(j2, m2), i1 * n2 + widx(j2, m2))] = HSeries.one(order)
-            continue
-        for m2 in weights(j2):
-            for k2 in half_range(m2, j2):
-                d = (k2 - m2).as_int()
-                srad2 = Fraction(fact(j2 - m2) * fact(j2 + k2),
-                                 fact(j2 + m2) * fact(j2 - k2))
-                scale = sqrt_fraction(srad2)
-                if m1.twice < 0:
-                    q = Fraction(_dfact((2 * (k2 - m1 - m2)).as_int() - 2),
-                                 fact(d) * _dfact((-2 * m1).as_int() - 2))
-                    coeff = scale * q
+    for m1t in range(-j1.twice, j1.twice + 1, 2):
+        base = (j1.twice + m1t) // 2 * n2
+        for a in range(n2):
+            if m1t == 0:
+                out[(base + a, base + a)] = HSeries.one(order)
+                continue
+            for b in range(a, min(top, a + order) + 1):
+                d = b - a
+                if m1t < 0:
+                    q = Fraction(_dfact(2 * d - m1t - 2), factorial(d) * _dfact(-m1t - 2))
                 else:
-                    tm1 = (2 * m1).as_int()
-                    total = Fraction(0)
-                    for l in range(min(d, (j2 - m2).as_int()) + 1):
-                        b = _gen_binom(tm1, d - l)
-                        if not b:
-                            continue
-                        term = b * Fraction(_dfact(2 * l + tm1 - 2),
-                                            (2 ** l) * fact(l) * _dfact(tm1 - 2))
-                        total += -term if l % 2 else term
-                    coeff = scale * (Fraction(-2) ** d) * total
-                if coeff.is_zero() or d > order:
-                    continue
-                out[(i1 * n2 + widx(j2, k2), i1 * n2 + widx(j2, m2))] = \
-                    HSeries.h_power(d, order, coeff)
+                    q = (-2) ** d * sum(
+                        Fraction((-1) ** l * comb(m1t, d - l) * _dfact(2 * l + m1t - 2),
+                                 2 ** l * factorial(l) * _dfact(m1t - 2))
+                        for l in range(min(d, top - a) + 1))
+                if q:
+                    ratio = Fraction(factorial(top - a) * factorial(b),
+                                     factorial(a) * factorial(top - b))
+                    out[(base + b, base + a)] = HSeries.h_power(d, order, sqrt_fraction(ratio) * q)
     return Matrix(n1 * n2, n1 * n2, order, out)
 
 

@@ -5,7 +5,7 @@ Three layers:
   RadicalSum  rational linear combinations of square roots of distinct
               square-free positive integers (the key 1 stands for sqrt(1)).
   HSeries     polynomial in the deformation parameter h, truncated at a
-              fixed order, stored as integer rows over one denominator.
+              fixed order, stored sparse over one denominator.
   HalfInt     half-integer spin / weight labels, stored as twice the value.
 
 SeriesCombination is the finite sum {key: HSeries} shared by the polynomial
@@ -194,14 +194,20 @@ class RadicalSum:
                 for r in sorted(self.terms)]
 
 
+def _radical_terms(value):
+    """{radicand: rational} of a RadicalSum, an int or a Fraction."""
+    return value.terms if isinstance(value, RadicalSum) else {1: value}
+
+
 class HSeries:
     """Truncated polynomial sum_{k<=order} c_k*h^k with RadicalSum coefficients.
 
-    Stored flat, like FLINT's fmpq_poly: c_k = sum_r num[r][k]/den * sqrt(r),
-    with one row of order + 1 integer numerators per radicand r and one
-    positive common denominator.  The form is canonical (no all-zero row, den
-    coprime to the numerators), so == and hash compare (order, den, num).
-    Series are immutable; rows may be shared and are never written to.
+    Stored sparse over one denominator, like FLINT's fmpq_poly without the
+    zeros: c_k = sum_r num[(k, r)]/den * sqrt(r), where num holds only the
+    nonzero integer numerators and den > 0.  The form is canonical (no zero
+    entry, 0 <= k <= order, den coprime to the numerators), so == and hash
+    compare (order, den, num).  Series are immutable; num dicts may be shared
+    and are never written to.
 
     Arithmetic requires both operands to carry the same truncation order;
     mixing orders silently would hide loss of precision, so it is an error.
@@ -213,9 +219,9 @@ class HSeries:
         coeffs = list(coeffs)
         if len(coeffs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
-        total = sum((HSeries.h_power(k, order, c) for k, c in enumerate(coeffs)),
-                    HSeries.zero(order))
-        self.num, self.den, self.order = total.num, total.den, order
+        s = HSeries._from_rationals({(k, r): q for k, c in enumerate(coeffs)
+                                     for r, q in _radical_terms(c).items()}, order)
+        self.num, self.den, self.order = s.num, s.den, order
 
     @staticmethod
     def _new(num, den, order):
@@ -226,12 +232,22 @@ class HSeries:
 
     @staticmethod
     def _make(num, den, order):
-        """Canonical series from integer rows over den > 0: reduce, drop zero rows."""
-        num = {r: row for r, row in num.items() if any(row)}
-        g = gcd(den, *(gcd(*row) for row in num.values()))
+        """Canonical series from integer numerators over den > 0: reduce, drop zeros."""
+        if 0 in num.values():
+            num = {key: a for key, a in num.items() if a}
+        g = gcd(den, *num.values())
         if g != 1:
-            num = {r: [x // g for x in row] for r, row in num.items()}
+            num = {key: a // g for key, a in num.items()}
         return HSeries._new(num, den // g, order)
+
+    @staticmethod
+    def _from_rationals(terms, order):
+        """Canonical series from {(k, r): int or Fraction}; over the lcm of
+        the reduced denominators the numerators are coprime to den already."""
+        terms = {key: q for key, q in terms.items() if q}
+        den = lcm(*(q.denominator for q in terms.values()))
+        return HSeries._new({key: q.numerator * (den // q.denominator)
+                             for key, q in terms.items()}, den, order)
 
     @staticmethod
     def zero(order):
@@ -239,7 +255,7 @@ class HSeries:
 
     @staticmethod
     def one(order):
-        return HSeries.constant(1, order)
+        return HSeries._new({(0, 1): 1}, 1, order)
 
     @staticmethod
     def constant(value, order):
@@ -250,15 +266,8 @@ class HSeries:
         """value * h^k at the given truncation order."""
         if k > order:
             return HSeries.zero(order)
-        # an int or a Fraction is its own numerator over its denominator
-        terms = value.terms if isinstance(value, RadicalSum) else {1: value}
-        den = lcm(*(q.denominator for q in terms.values()))
-        num = {}
-        for r, q in terms.items():
-            if q:
-                row = num[r] = [0] * (order + 1)
-                row[k] = q.numerator * (den // q.denominator)
-        return HSeries._new(num, den, order)
+        return HSeries._from_rationals(
+            {(k, r): q for r, q in _radical_terms(value).items()}, order)
 
     def _check(self, other):
         if self.order != other.order:
@@ -278,19 +287,20 @@ class HSeries:
         """The RadicalSum coefficient of h^k, for 0 <= k <= order."""
         if not 0 <= k <= self.order:
             raise ValueError(f"no h^{k} coefficient in an order-{self.order} series")
-        return RadicalSum({r: Fraction(row[k], self.den) for r, row in self.num.items()})
+        return RadicalSum({r: Fraction(a, self.den)
+                           for (i, r), a in self.num.items() if i == k})
 
-    # all order + 1 coefficients as RadicalSums, built on each read
-    coeffs = property(lambda self: [self.coeff(k) for k in range(self.order + 1)])
+    @property
+    def coeffs(self):
+        """All order + 1 coefficients as RadicalSums, built on each read."""
+        out = [{} for _ in range(self.order + 1)]
+        for (k, r), a in self.num.items():
+            out[k][r] = Fraction(a, self.den)
+        return [RadicalSum(terms) for terms in out]
 
     def is_constant(self):
         """Whether every coefficient above h^0 vanishes."""
-        return not any(any(row[1:]) for row in self.num.values())
-
-    def _rational(self):
-        """The numerator n of a nonzero rational constant n/den, else None."""
-        row = self.num.get(1)
-        return row[0] if len(self.num) == 1 and row and not any(row[1:]) else None
+        return all(k == 0 for k, _ in self.num)
 
     def _plus(self, other, sign):
         """self + sign*other, over the lcm of the two denominators."""
@@ -304,11 +314,9 @@ class HSeries:
             return other if sign > 0 else -other
         g = gcd(self.den, other.den)
         m1, m2 = other.den // g, sign * (self.den // g)
-        out = {r: [a * m1 for a in row] for r, row in self.num.items()}
-        for r, row in other.num.items():
-            acc = out.get(r)
-            out[r] = ([b * m2 for b in row] if acc is None
-                      else [a + b * m2 for a, b in zip(acc, row)])
+        out = {key: a * m1 for key, a in self.num.items()}
+        for key, b in other.num.items():
+            out[key] = out.get(key, 0) + b * m2
         return HSeries._make(out, self.den * m1, self.order)
 
     def __add__(self, other):
@@ -317,8 +325,7 @@ class HSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return HSeries._new({r: [-a for a in row] for r, row in self.num.items()},
-                            self.den, self.order)
+        return HSeries._new({key: -a for key, a in self.num.items()}, self.den, self.order)
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -326,39 +333,40 @@ class HSeries:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _times(self, n, d):
+        """self * n/d for integers n and d > 0."""
+        if d == 1 and n in (1, -1):
+            return self if n == 1 else -self
+        return HSeries._make({key: a * n for key, a in self.num.items()},
+                             self.den * d, self.order)
+
     def __mul__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not HSeries:
+            if isinstance(other, (int, Fraction)):
+                return self._times(other.numerator, other.denominator)
+            other = self._coerced(other)
+            if other is None:
+                return NotImplemented
         self._check(other)
-        order = self.order
+        # a rational constant operand only rescales the other's numerators
         for a, b in ((self, other), (other, self)):
-            n = a._rational()
-            if n is None:
-                continue
-            if a.den == 1 and n in (1, -1):
-                return b if n == 1 else -b
-            return HSeries._make({r: [x * n for x in row] for r, row in b.num.items()},
-                                 b.den * a.den, order)
-        left = [(r, [(i, a) for i, a in enumerate(row) if a]) for r, row in self.num.items()]
+            if len(a.num) == 1 and (0, 1) in a.num:
+                return b._times(a.num[(0, 1)], a.den)
+        order = self.order
         out = {}
-        for r2, row2 in other.num.items():
-            right = [(j, b) for j, b in enumerate(row2) if b]
-            for r1, nz1 in left:
+        for (i, r1), a in self.num.items():
+            for (j, r2), b in other.num.items():
+                if i + j > order:
+                    continue
                 s, r = _radical_product(r1, r2)
-                acc = out.get(r) or out.setdefault(r, [0] * (order + 1))
-                for j, b in right:
-                    b *= s
-                    for i, a in nz1:
-                        if i + j > order:
-                            break
-                        acc[i + j] += a * b
+                key = (i + j, r)
+                out[key] = out.get(key, 0) + a * b * s
         return HSeries._make(out, self.den * other.den, order)
 
     __rmul__ = __mul__
 
     def scale(self, value):
-        return self * HSeries.constant(value, self.order)
+        return self * value
 
     def __eq__(self, other):
         other = self._coerced(other)
@@ -368,14 +376,13 @@ class HSeries:
         return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.order, self.den,
-                     frozenset((r, tuple(row)) for r, row in self.num.items())))
+        return hash((self.order, self.den, frozenset(self.num.items())))
 
     def truncate(self, new_order):
         """Drop coefficients above new_order (new_order <= order)."""
         if new_order > self.order:
             raise ValueError(f"cannot raise truncation order {self.order} -> {new_order}")
-        return HSeries._make({r: row[:new_order + 1] for r, row in self.num.items()},
+        return HSeries._make({key: a for key, a in self.num.items() if key[0] <= new_order},
                              self.den, new_order)
 
     def divide_exact(self, k):
@@ -391,13 +398,12 @@ class HSeries:
         v = self.valuation()
         if v is not None and v < k:
             raise ValueError(f"series not divisible by h^{k}: h^{v} term is {self.coeff(v)}")
-        return HSeries._make({r: row[k:] for r, row in self.num.items()},
-                             self.den, self.order - k)
+        return HSeries._new({(i - k, r): a for (i, r), a in self.num.items()},
+                            self.den, self.order - k)
 
     def valuation(self):
         """Lowest k with a nonzero h^k coefficient, or None for the zero series."""
-        return min((next(i for i, a in enumerate(row) if a) for row in self.num.values()),
-                   default=None)
+        return min((k for k, _ in self.num), default=None)
 
     def at_h0(self):
         return self.coeff(0)

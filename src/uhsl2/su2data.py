@@ -45,37 +45,28 @@ def _delta2(a, b, c):
 
 @lru_cache(maxsize=None)
 def _cgc_cached(j1t, j2t, jt, m1t, m2t):
-    j1, j2, j = HalfInt(j1t), HalfInt(j2t), HalfInt(jt)
-    m1, m2 = HalfInt(m1t), HalfInt(m2t)
-    m = m1 + m2
-    if not triangle_ok(j1, j2, j) or abs(m.twice) > j.twice:
+    """The coefficient from twice-labels, in Python ints (Racah's single sum)."""
+    mt = m1t + m2t
+    if (j1t + j2t + jt) % 2 or not abs(j1t - j2t) <= jt <= j1t + j2t:
         return RadicalSum.zero()
-    if abs(m1.twice) > j1.twice or abs(m2.twice) > j2.twice:
+    if abs(m1t) > j1t or abs(m2t) > j2t or abs(mt) > jt:
         return RadicalSum.zero()
-    if (j1 + m1).twice % 2 or (j2 + m2).twice % 2 or (j + m).twice % 2:
+    if (j1t + m1t) % 2 or (j2t + m2t) % 2:
         return RadicalSum.zero()
-    pre2 = Fraction(jt + 1) * _delta2(j1, j2, j) * (
-        fact(j + m) * fact(j - m) * fact(j1 + m1) * fact(j1 - m1)
-        * fact(j2 + m2) * fact(j2 - m2))
+    # integer labels: a = j1 + j2 - j, and so on; j + m is then an integer too
+    a, b, c = (j1t + j2t - jt) // 2, (j1t - j2t + jt) // 2, (jt - j1t + j2t) // 2
+    j1p, j1m = (j1t + m1t) // 2, (j1t - m1t) // 2
+    j2p, j2m = (j2t + m2t) // 2, (j2t - m2t) // 2
+    jp, jm = (jt + mt) // 2, (jt - mt) // 2
+    pre2 = Fraction((jt + 1) * factorial(a) * factorial(b) * factorial(c)
+                    * factorial(jp) * factorial(jm) * factorial(j1p) * factorial(j1m)
+                    * factorial(j2p) * factorial(j2m), factorial((j1t + j2t + jt) // 2 + 1))
+    # every factorial argument below is >= 0 exactly on this range of k
     total = Fraction(0)
-    k = 0
-    while True:
-        d = [k,
-             (j1 + j2 - j).as_int() - k,
-             (j1 - m1).as_int() - k,
-             (j2 + m2).as_int() - k,
-             (j - j2 + m1).as_int() + k,
-             (j - j1 - m2).as_int() + k]
-        if d[1] < 0 or d[2] < 0 or d[3] < 0:
-            break
-        if all(x >= 0 for x in d):
-            term = Fraction(1)
-            for x in d:
-                term /= fact(x)
-            total += -term if k % 2 else term
-        k += 1
-        if k > (j1 + j2 + j).as_int() + 1:
-            break
+    for k in range(max(0, j1m - b, j2p - c), min(a, j1m, j2p) + 1):
+        total += Fraction(-1 if k % 2 else 1,
+                          factorial(k) * factorial(a - k) * factorial(j1m - k)
+                          * factorial(j2p - k) * factorial(b - j1m + k) * factorial(c - j2p + k))
     return sqrt_fraction(pre2) * total
 
 

@@ -242,6 +242,7 @@ def sigma_weyl(order):
     return WeylElement(terms, order)
 
 
+@lru_cache(maxsize=None)
 def _binomial_in_square(cls, alpha, sign, order):
     """(1 + sign*h*x^2)^alpha with x the first generator of cls."""
     return cls({(2 * k, 0): HSeries.h_power(k, order, _gen_binom(alpha, k) * sign ** k)
@@ -319,8 +320,13 @@ def symplecton_pivot(j, m):
 
 
 def h_symplecton(j, m, order):
-    """Twisted polynomial P_j^m exp(m*s) in the Weyl presentation."""
-    return classical_symplecton(j, m, order) * exp_m_sigma(HalfInt.of(m), order)
+    """Twisted polynomial P_j^m exp(m*s) in the Weyl presentation, cached."""
+    return _h_symplecton(HalfInt.of(j).twice, HalfInt.of(m).twice, order)
+
+
+@lru_cache(maxsize=None)
+def _h_symplecton(jt, mt, order):
+    return classical_symplecton(HalfInt(jt), HalfInt(mt), order) * exp_m_sigma(HalfInt(mt), order)
 
 
 def decompose_symplecton_basis(w):

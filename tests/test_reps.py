@@ -59,6 +59,16 @@ def test_twist_formula_matches_oracle():
                 f"closed form disagrees with oracle at ({j1},{j2})"
 
 
+def test_twist_formula_matches_oracle_where_truncation_cuts():
+    # at orders 0-3 the entries h^d with d > order are cut from the formula
+    for order in range(4):
+        for j1t in range(5):
+            for j2t in range(5):
+                assert (twist_matrix_formula(HalfInt(j1t), HalfInt(j2t), order)
+                        == twist_matrix_oracle(HalfInt(j1t), HalfInt(j2t), order)), \
+                    f"closed form disagrees with oracle at ({j1t}/2, {j2t}/2), order {order}"
+
+
 def test_twist_explicit_spin_half_pair():
     f = twist_matrix_oracle(H12, H12, ORD)
     expect = Matrix.identity(4, ORD) + Matrix(4, 4, ORD, {

@@ -220,8 +220,8 @@ def rand_coeffs(rng, order, density):
 
 def assert_canonical(x):
     assert x.den > 0
-    assert all(len(row) == x.order + 1 and any(row) for row in x.num.values())
-    assert gcd(x.den, *(n for row in x.num.values() for n in row)) == 1
+    assert all(a and 0 <= k <= x.order for (k, _), a in x.num.items())
+    assert gcd(x.den, *x.num.values()) == 1
     assert x.is_zero() == (not x.num) and (x.num or x.den == 1)
 
 
@@ -266,7 +266,24 @@ def test_series_canonical_form(order):
         assert comm == HSeries.zero(order)
         assert (comm.num, comm.den) == ({}, 1)
     half = HSeries.constant(Fraction(1, 2), order)
-    assert ((half + half).num, (half + half).den) == ({1: [1] + [0] * order}, 1)
+    assert ((half + half).num, (half + half).den) == ({(0, 1): 1}, 1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 16])
+def test_monomial_products_across_the_truncation_edge(order):
+    # c1 h^i * c2 h^j with i + j = order survives; i + j = order + 1 is cut
+    rng = random.Random(300 + order)
+    for total in (order, order + 1):
+        for i in range(max(0, total - order), min(total, order) + 1):
+            ra = [RadicalSum.zero()] * (order + 1)
+            rb = [RadicalSum.zero()] * (order + 1)
+            for row, k in ((ra, i), (rb, total - i)):
+                row[k] = RadicalSum({rng.choice(RADICANDS): Fraction(rng.choice((-7, -2, 1, 3)),
+                                                                     rng.randint(1, 12))})
+            got = HSeries(ra, order) * HSeries(rb, order)
+            assert_canonical(got)
+            assert got.coeffs == ref_mul(ra, rb)
+            assert got.is_zero() == (total > order)
 
 
 def test_series_unit_products():

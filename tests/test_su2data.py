@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from uhsl2.scalar import HalfInt, RadicalSum, half_range, radical_normalize, spins_up_to, sqrt_fraction, weights
 from uhsl2.su2data import (bracket_coeff, cgc, fact, nabla, racah_w, sixj,
                            triangle_ok, verify_racah_identity)
@@ -75,6 +77,32 @@ def test_cgc_completeness():
             total = total + cgc(j1, j2, j, m1, m2) * cgc(j1, j2, j, m1p, m2p)
         expect = RadicalSum.one() if (m1 == m1p and m2 == m2p) else RadicalSum.zero()
         assert total == expect
+
+
+def test_cgc_against_sympy():
+    # every label tuple with spins up to 2 and weights one step past the
+    # range; sympy is an independent oracle, compared by square and sign
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.wigner import clebsch_gordan
+    half = lambda t: sympy.Rational(t, 2)
+    nonzero = 0
+    for j1t, j2t, jt in itertools.product(range(5), repeat=3):
+        for m1t in range(-j1t - 2, j1t + 3, 2):
+            for m2t in range(-j2t - 2, j2t + 3, 2):
+                want = clebsch_gordan(half(j1t), half(j2t), half(jt),
+                                      half(m1t), half(m2t), half(m1t + m2t))
+                got = cgc(HalfInt(j1t), HalfInt(j2t), HalfInt(jt), HalfInt(m1t), HalfInt(m2t))
+                square = sympy.Rational(want ** 2)
+                labels = (j1t, j2t, jt, m1t, m2t)
+                if square == 0:
+                    assert got.is_zero(), labels
+                    continue
+                nonzero += 1
+                assert len(got.terms) == 1, labels
+                [(r, q)] = got.terms.items()
+                assert q * q * r == Fraction(int(square.p), int(square.q)), labels
+                assert (q > 0) == bool(want > 0), labels
+    assert nonzero == 293
 
 
 def test_sixj_values():
