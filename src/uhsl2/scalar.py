@@ -290,13 +290,8 @@ class HSeries:
         return RadicalSum({r: Fraction(a, self.den)
                            for (i, r), a in self.num.items() if i == k})
 
-    @property
-    def coeffs(self):
-        """All order + 1 coefficients as RadicalSums, built on each read."""
-        out = [{} for _ in range(self.order + 1)]
-        for (k, r), a in self.num.items():
-            out[k][r] = Fraction(a, self.den)
-        return [RadicalSum(terms) for terms in out]
+    # all order + 1 coefficients as RadicalSums, built on each read
+    coeffs = property(lambda self: [self.coeff(k) for k in range(self.order + 1)])
 
     def is_constant(self):
         """Whether every coefficient above h^0 vanishes."""
