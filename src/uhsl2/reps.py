@@ -15,8 +15,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .scalar import (SCALARS, HalfInt, HSeries, SeriesCombination, add_into,
-                     sqrt_fraction, weights)
-from .su2data import cgc, half_range
+                     half_range, sqrt_ratio, weights)
+from .su2data import cgc
 from .weyl import ladder_coeff
 
 
@@ -247,7 +247,8 @@ def twist_matrix_formula(j1, j2, order):
     a = j2 + m2 and b = j2 + k2, ratio = (2j2-a)! b! / (a! (2j2-b)!) and q is
     rational.  Entries with d > order are cut.  The m1 = 0 rows reduce to the
     identity block (exp(0) = 1); the double-factorial product is empty there,
-    so that case is handled separately.
+    so that case is handled separately.  Each entry is built in canonical
+    form from one numerator over one denominator.
     """
     j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
     n1, n2 = _dim(j1), _dim(j2)
@@ -262,16 +263,19 @@ def twist_matrix_formula(j1, j2, order):
             for b in range(a, min(top, a + order) + 1):
                 d = b - a
                 if m1t < 0:
-                    q = Fraction(_dfact(2 * d - m1t - 2), factorial(d) * _dfact(-m1t - 2))
+                    qn, qd = _dfact(2 * d - m1t - 2), factorial(d) * _dfact(-m1t - 2)
                 else:
-                    q = (-2) ** d * sum(
-                        Fraction((-1) ** l * comb(m1t, d - l) * _dfact(2 * l + m1t - 2),
-                                 2 ** l * factorial(l) * _dfact(m1t - 2))
-                        for l in range(min(d, top - a) + 1))
-                if q:
-                    ratio = Fraction(factorial(top - a) * factorial(b),
-                                     factorial(a) * factorial(top - b))
-                    out[(base + b, base + a)] = HSeries.h_power(d, order, sqrt_fraction(ratio) * q)
+                    # the l-sum over its common denominator 2^L L! (m1t-2)!!
+                    top_l = min(d, top - a)
+                    qn = (-2) ** d * sum(
+                        (-1) ** l * comb(m1t, d - l) * _dfact(2 * l + m1t - 2)
+                        * 2 ** (top_l - l) * (factorial(top_l) // factorial(l))
+                        for l in range(top_l + 1))
+                    qd = 2 ** top_l * factorial(top_l) * _dfact(m1t - 2)
+                if qn:
+                    num, den, r = sqrt_ratio(factorial(top - a) * factorial(b),
+                                             factorial(a) * factorial(top - b), qn, qd)
+                    out[(base + b, base + a)] = HSeries._new({(d, r): num}, den, order)
     return Matrix(n1 * n2, n1 * n2, order, out)
 
 
@@ -288,7 +292,7 @@ def twist_symmetry_check(j1, j2, order):
     """
     f = twist_matrix_oracle(j1, j2, order)
     last = f.nrows - 1
-    return twist_inverse(j1, j2, order).terms == {
+    return f.inverse_unipotent().terms == {
         (last - c, last - r): v for (r, c), v in f.terms.items()}
 
 

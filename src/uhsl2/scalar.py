@@ -51,6 +51,16 @@ def radical_normalize(n, q=1):
     return RadicalSum({r: Fraction(q) * s})
 
 
+def sqrt_ratio(p, q, n=1, d=1):
+    """Canonical (num, den, r) with (n/d)*sqrt(p/q) = (num/den)*sqrt(r), for
+    positive ints p, q, d: r square-free, den > 0 coprime to num.  p/q need
+    not be reduced, since sqrt(p/q) = sqrt(p*q)/q whatever factor they share."""
+    s, r = _square_free_split(p * q)
+    num, den = n * s, d * q
+    g = gcd(num, den)
+    return num // g, den // g, r
+
+
 def sqrt_fraction(value):
     """Exact sqrt of a nonnegative Fraction as a RadicalSum."""
     value = Fraction(value)
@@ -58,9 +68,8 @@ def sqrt_fraction(value):
         raise ValueError(f"sqrt of negative rational {value}")
     if value == 0:
         return RadicalSum({})
-    # sqrt(p/q) = sqrt(p*q)/q
-    return radical_normalize(value.numerator * value.denominator,
-                             Fraction(1, value.denominator))
+    num, den, r = sqrt_ratio(value.numerator, value.denominator)
+    return RadicalSum._new({r: Fraction(num, den)})
 
 
 class RadicalSum:
@@ -75,6 +84,13 @@ class RadicalSum:
                 q = Fraction(q)
                 if q:
                     self.terms[r] = q
+
+    @staticmethod
+    def _new(terms):
+        """Trusted constructor: terms maps radicands to Fractions; zeros are dropped."""
+        out = object.__new__(RadicalSum)
+        out.terms = terms if all(terms.values()) else {r: q for r, q in terms.items() if q}
+        return out
 
     @staticmethod
     def from_rational(q):
@@ -112,13 +128,13 @@ class RadicalSum:
             return NotImplemented
         out = dict(self.terms)
         for r, q in other.terms.items():
-            out[r] = out.get(r, Fraction(0)) + q
-        return RadicalSum(out)
+            out[r] = out[r] + q if r in out else q
+        return RadicalSum._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RadicalSum({r: -q for r, q in self.terms.items()})
+        return RadicalSum._new({r: -q for r, q in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerced(other)
@@ -137,8 +153,9 @@ class RadicalSum:
         for r1, q1 in self.terms.items():
             for r2, q2 in other.terms.items():
                 s, r = _radical_product(r1, r2)
-                out[r] = out.get(r, Fraction(0)) + q1 * q2 * s
-        return RadicalSum(out)
+                q = q1 * q2 * s if s != 1 else q1 * q2
+                out[r] = out[r] + q if r in out else q
+        return RadicalSum._new(out)
 
     __rmul__ = __mul__
 

@@ -10,9 +10,10 @@ coefficient here), computed from the standard single-sum closed forms.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import product
+from math import comb, factorial
 
-from .scalar import HalfInt, RadicalSum, half_range, sqrt_fraction, weights
+from .scalar import HalfInt, RadicalSum, sqrt_fraction, sqrt_ratio
 
 
 def fact(x):
@@ -58,16 +59,21 @@ def _cgc_cached(j1t, j2t, jt, m1t, m2t):
     j1p, j1m = (j1t + m1t) // 2, (j1t - m1t) // 2
     j2p, j2m = (j2t + m2t) // 2, (j2t - m2t) // 2
     jp, jm = (jt + mt) // 2, (jt - mt) // 2
-    pre2 = Fraction((jt + 1) * factorial(a) * factorial(b) * factorial(c)
-                    * factorial(jp) * factorial(jm) * factorial(j1p) * factorial(j1m)
-                    * factorial(j2p) * factorial(j2m), factorial((j1t + j2t + jt) // 2 + 1))
-    # every factorial argument below is >= 0 exactly on this range of k
-    total = Fraction(0)
+    # a!b!c! times Racah's sum is a signed sum of binomial products; every
+    # binomial has 0 <= lower <= upper exactly on this range of k
+    total = 0
     for k in range(max(0, j1m - b, j2p - c), min(a, j1m, j2p) + 1):
-        total += Fraction(-1 if k % 2 else 1,
-                          factorial(k) * factorial(a - k) * factorial(j1m - k)
-                          * factorial(j2p - k) * factorial(b - j1m + k) * factorial(c - j2p + k))
-    return sqrt_fraction(pre2) * total
+        term = comb(a, k) * comb(b, j1m - k) * comb(c, j2p - k)
+        total += -term if k % 2 else term
+    if not total:
+        return RadicalSum.zero()
+    # Racah's prefactor, over the a!b!c! taken out of the sum
+    num, den, r = sqrt_ratio(
+        (jt + 1) * factorial(jp) * factorial(jm) * factorial(j1p) * factorial(j1m)
+        * factorial(j2p) * factorial(j2m),
+        factorial((j1t + j2t + jt) // 2 + 1) * factorial(a) * factorial(b) * factorial(c),
+        total)
+    return RadicalSum._new({r: Fraction(num, den)})
 
 
 def cgc(j1, j2, j, m1, m2, m=None):
@@ -142,29 +148,24 @@ def verify_racah_identity(a, b, c, e):
     with coefficients sqrt((2d+1)(2f+1)) W(a, b, e, c; d, f).  Returns
     (ok, ncases) where ncases counts the (d, alpha, beta, gamma) tuples.
     """
-    a, b, c, e = HalfInt.of(a), HalfInt.of(b), HalfInt.of(c), HalfInt.of(e)
+    at, bt, ct, et = (HalfInt.of(x).twice for x in (a, b, c, e))
     ncases = 0
-    ds = [d for d in half_range(HalfInt(abs(a.twice - b.twice)), a + b)
-          if triangle_ok(d, c, e)]
-    fs = [f for f in half_range(HalfInt(abs(b.twice - c.twice)), b + c)
-          if triangle_ok(a, f, e)]
-    for d in ds:
-        for alpha in weights(a):
-            for beta in weights(b):
-                for gamma in weights(c):
-                    eps = alpha + beta + gamma
-                    if abs(eps.twice) > e.twice:
-                        continue
-                    delta = alpha + beta
-                    lhs = cgc(d, c, e, delta, gamma) * cgc(a, b, d, alpha, beta)
-                    rhs = RadicalSum.zero()
-                    for f in fs:
-                        rho = beta + gamma
-                        w = racah_w(a, b, e, c, d, f)
-                        dim = sqrt_fraction(Fraction((d.twice + 1) * (f.twice + 1)))
-                        rhs = rhs + (cgc(a, f, e, alpha, rho)
-                                     * cgc(b, c, f, beta, gamma) * dim * w)
-                    if lhs != rhs:
-                        return False, ncases
-                    ncases += 1
+    ds = [dt for dt in range(abs(at - bt), at + bt + 1, 2)
+          if triangle_ok(HalfInt(dt), HalfInt(ct), HalfInt(et))]
+    fs = [ft for ft in range(abs(bt - ct), bt + ct + 1, 2)
+          if triangle_ok(HalfInt(at), HalfInt(ft), HalfInt(et))]
+    for dt in ds:
+        racah = [(ft, sqrt_fraction(Fraction((dt + 1) * (ft + 1)))
+                  * racah_w(a, b, e, c, HalfInt(dt), HalfInt(ft))) for ft in fs]
+        for alt, bet, gat in product(*(range(-t, t + 1, 2) for t in (at, bt, ct))):
+            if abs(alt + bet + gat) > et:
+                continue
+            lhs = _cgc_cached(dt, ct, et, alt + bet, gat) * _cgc_cached(at, bt, dt, alt, bet)
+            rhs = RadicalSum.zero()
+            for ft, w in racah:
+                rhs = rhs + (_cgc_cached(at, ft, et, alt, bet + gat)
+                             * _cgc_cached(bt, ct, ft, bet, gat) * w)
+            if lhs != rhs:
+                return False, ncases
+            ncases += 1
     return True, ncases

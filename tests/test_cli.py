@@ -48,7 +48,17 @@ LARGER_COMPUTE = {
         "39a8812fbf7f80d64c3aa09f7587f0b77b47196a981f16e6c3993249b74cfaf5",
     "compute h-symplecton --j 2 --m 1 -H 8 --format json":
         "662e48b29d18a9673200c16a384fa3f6acfa769255a8f855738ed31b4425b377",
+    # recorded before the twist closed form and the Clebsch-Gordan sum were
+    # evaluated over one integer denominator, as is the report below
+    "compute fmatrix-inverse --j1 2 --j2 3/2 -H 16 --format json":
+        "473e86805d00980e35d2ab09b5fa8158e4160d6d4d685b13da12b0bb2a80285d",
 }
+# the twist, hopf, coupled-basis, ohn and properties suites at order 16 up to
+# spin 4, which is the benchmark's reps-tower workload
+REPS_TOWER_REPORT = (
+    "verify -H 16 --max-spin 4 --suite twist --suite hopf --suite coupled-basis"
+    " --suite ohn --suite properties --format json",
+    "3afdad4c25a9364677b36cd576b9e6d9988bb148876542b3467011eaa35e0e1b")
 
 
 def test_readme_compute_lines_are_pinned():
@@ -59,7 +69,7 @@ def test_readme_compute_lines_are_pinned():
 
 
 @pytest.mark.parametrize("line, digest", [*README_COMPUTE.items(),
-                                          *LARGER_COMPUTE.items()])
+                                          *LARGER_COMPUTE.items(), REPS_TOWER_REPORT])
 def test_compute_output_bytes(capsys, line, digest):
     code, out = run(capsys, *shlex.split(line))
     assert code == 0

@@ -113,6 +113,31 @@ def test_sixj_values():
     assert sixj(1, 1, 1, 1, 1, 3).is_zero()  # broken triangle
 
 
+def test_sixj_against_sympy():
+    # every label set with spins up to 2 whose four triads couple; sympy is
+    # an independent oracle, compared by square and sign
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.wigner import wigner_6j
+    admissible = nonzero = 0
+    for labels in itertools.product(range(5), repeat=6):
+        a, b, c, d, e, f = (HalfInt(t) for t in labels)
+        if not all(triangle_ok(*t) for t in ((a, b, c), (a, e, f), (d, b, f), (d, e, c))):
+            continue
+        admissible += 1
+        want = wigner_6j(*(sympy.Rational(t, 2) for t in labels))
+        got = sixj(a, b, c, d, e, f)
+        square = sympy.Rational(want ** 2)
+        if square == 0:
+            assert got.is_zero(), labels
+            continue
+        nonzero += 1
+        assert len(got.terms) == 1, labels
+        [(r, q)] = got.terms.items()
+        assert q * q * r == Fraction(int(square.p), int(square.q)), labels
+        assert (q > 0) == bool(want > 0), labels
+    assert (admissible, nonzero) == (570, 566)
+
+
 def test_racah_w_is_zero_off_the_admissible_labels():
     # a + b + c + d need not be an integer when a triangle is broken
     assert racah_w(H12, H12, H12, 1, 1, 1).is_zero()
