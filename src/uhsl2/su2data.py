@@ -150,10 +150,8 @@ def verify_racah_identity(a, b, c, e):
     """
     at, bt, ct, et = (HalfInt.of(x).twice for x in (a, b, c, e))
     ncases = 0
-    ds = [dt for dt in range(abs(at - bt), at + bt + 1, 2)
-          if triangle_ok(HalfInt(dt), HalfInt(ct), HalfInt(et))]
-    fs = [ft for ft in range(abs(bt - ct), bt + ct + 1, 2)
-          if triangle_ok(HalfInt(at), HalfInt(ft), HalfInt(et))]
+    ds = [dt for dt in range(abs(at - bt), at + bt + 1, 2) if triangle_ok(HalfInt(dt), c, e)]
+    fs = [ft for ft in range(abs(bt - ct), bt + ct + 1, 2) if triangle_ok(a, HalfInt(ft), e)]
     for dt in ds:
         racah = [(ft, sqrt_fraction(Fraction((dt + 1) * (ft + 1)))
                   * racah_w(a, b, e, c, HalfInt(dt), HalfInt(ft))) for ft in fs]
