@@ -18,11 +18,14 @@ from . import su2data
 from . import symplecton
 from . import weyl
 
+# spins written as spins: HalfInt holds twice the value
+HALF, ONE = HalfInt.parse("1/2"), HalfInt.parse("1")
+
 
 class RunConfig:
     """Bounds and options shared by the verification suites."""
 
-    def __init__(self, order=8, max_spin=HalfInt(4), strict=False):
+    def __init__(self, order=8, max_spin=HalfInt.parse("2"), strict=False):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
         self.order = order
@@ -32,7 +35,7 @@ class RunConfig:
     @property
     def product_spin(self):
         """Product-law style checks cost more, so they cap at spin 3/2."""
-        return min(self.max_spin, HalfInt(3))
+        return min(self.max_spin, HalfInt.parse("3/2"))
 
 
 def _row(suite, check, ref, params, ok, detail=""):
@@ -41,7 +44,7 @@ def _row(suite, check, ref, params, ok, detail=""):
 
 
 def _spin_grid(lim):
-    spins = spins_up_to(lim, HalfInt(1))
+    spins = spins_up_to(lim, HALF)
     return [(j1, j2) for j1 in spins for j2 in spins]
 
 
@@ -65,9 +68,9 @@ def suite_twist(cfg):
 
 def suite_hopf(cfg):
     rows = []
-    triples = [(HalfInt(1), HalfInt(1), HalfInt(1))]
-    if cfg.max_spin >= HalfInt(2):
-        triples.append((HalfInt(2), HalfInt(1), HalfInt(1)))
+    triples = [(HALF, HALF, HALF)]
+    if cfg.max_spin >= ONE:
+        triples.append((ONE, HALF, HALF))
     for j1, j2, j3 in triples:
         params = {"j1": str(j1), "j2": str(j2), "j3": str(j3)}
         for name, ok in reps.twisted_hopf_suite(j1, j2, j3, cfg.order).items():
@@ -79,7 +82,7 @@ def suite_hopf(cfg):
 
 def suite_coupled_basis(cfg):
     rows = []
-    lim = min(cfg.max_spin, HalfInt(2))
+    lim = min(cfg.max_spin, ONE)
     for j1, j2 in _spin_grid(lim):
         if j2 > j1:
             continue
@@ -92,10 +95,10 @@ def suite_coupled_basis(cfg):
 def suite_recoupling(cfg):
     rows = []
     lim = cfg.product_spin
-    for a in spins_up_to(lim, HalfInt(1)):
-        for b in spins_up_to(lim, HalfInt(1)):
-            for c in spins_up_to(lim, HalfInt(1)):
-                for e in spins_up_to(lim, HalfInt(1)):
+    for a in spins_up_to(lim, HALF):
+        for b in spins_up_to(lim, HALF):
+            for c in spins_up_to(lim, HALF):
+                for e in spins_up_to(lim, HALF):
                     ok, ncases = su2data.verify_racah_identity(a, b, c, e)
                     if ncases == 0:
                         continue
@@ -108,7 +111,7 @@ def suite_recoupling(cfg):
 
 def suite_ohn(cfg):
     rows = []
-    for j in spins_up_to(cfg.max_spin, HalfInt(1)):
+    for j in spins_up_to(cfg.max_spin, HALF):
         params = {"j": str(j)}
         for name, ok in reps.ohn_suite(j, cfg.order).items():
             rows.append(_row("ohn", name, "hyperbolic-presentation", params, ok))
@@ -117,7 +120,7 @@ def suite_ohn(cfg):
 
 def suite_symplecton(cfg):
     rows = []
-    for j in spins_up_to(cfg.max_spin, HalfInt(1)):
+    for j in spins_up_to(cfg.max_spin, HALF):
         params = {"j": str(j)}
         ok = all(weyl.classical_symplecton(j, m, 0, "A")
                  == weyl.classical_symplecton(j, m, 0, "B") for m in weights(j))
@@ -128,7 +131,7 @@ def suite_symplecton(cfg):
                      symplecton.symmetry_check(cfg.max_spin)))
     ok = True
     detail = ""
-    for j in spins_up_to(cfg.max_spin, HalfInt(1)):
+    for j in spins_up_to(cfg.max_spin, HALF):
         for m in weights(j):
             if m > 0:
                 continue
@@ -225,22 +228,21 @@ def suite_dfunctions(cfg):
     rows = []
     params = {"order": str(cfg.order)}
     pres = slh2.group_algebra(cfg.order, True)
-    d = slh2.dfunction(HalfInt(1), cfg.order)
-    half = HalfInt(1)
-    ok = (d[(half, half)] == pres.gen("x") and d[(-half, half)] == pres.gen("v")
-          and d[(half, -half)] == pres.gen("u")
-          and d[(-half, -half)] == pres.gen("y"))
+    d = slh2.dfunction(HALF, cfg.order)
+    ok = (d[(HALF, HALF)] == pres.gen("x") and d[(-HALF, HALF)] == pres.gen("v")
+          and d[(HALF, -HALF)] == pres.gen("u")
+          and d[(-HALF, -HALF)] == pres.gen("y"))
     rows.append(_row("dfunctions", "fundamental_equals_letter_matrix",
                      "dfun-fundamental", params, ok))
     # these spins cover every plane basis the suite builds
-    for j in spins_up_to(cfg.product_spin, HalfInt(1)):
+    for j in spins_up_to(cfg.product_spin, HALF):
         p = {"j": str(j), "order": str(cfg.order)}
         ok, detail = slh2.plane_forms_check(j, cfg.order)
         if ok:
             ok, detail = slh2.dfunction_routes_agree(j, cfg.order), ""
         rows.append(_row("dfunctions", "plane_and_oscillator_routes_agree",
                          "dfun-two-routes", p, ok, detail))
-    for j in spins_up_to(min(cfg.max_spin, HalfInt(2)), HalfInt(1)):
+    for j in spins_up_to(min(cfg.max_spin, ONE), HALF):
         p = {"j": str(j), "order": str(cfg.order)}
         ok, detail = slh2.dfunction_coalgebra_check(j, cfg.order)
         rows.append(_row("dfunctions", "matrix_coalgebra", "dfun-coalgebra",
@@ -252,26 +254,25 @@ def suite_properties(cfg):
     import random
 
     rows = []
-    lim = min(cfg.max_spin + HalfInt(2), HalfInt(6))
+    lim = min(cfg.max_spin + ONE, HalfInt.parse("3"))
     ok = True
-    for j1 in spins_up_to(lim, HalfInt(1)):
-        for j2 in spins_up_to(lim, HalfInt(1)):
+    for j1 in spins_up_to(lim, HALF):
+        for j2 in spins_up_to(lim, HALF):
             mat = reps.cg_matrix(j1, j2, 0)
             if mat.transpose() * mat != reps.Matrix.identity(mat.nrows, 0):
                 ok = False
     rows.append(_row("properties", "cg_columns_orthonormal", "cg-orthogonality",
                      {"max_spin": str(lim)}, ok))
-    half = HalfInt(1)
     rows.append(_row("properties", "quantum_yang_baxter", "yang-baxter",
                      {"j": "1/2", "order": str(cfg.order)},
-                     reps.qybe_check(half, half, half, cfg.order)))
+                     reps.qybe_check(HALF, HALF, HALF, cfg.order)))
     rows.append(_row("properties", "r_triangularity", "r-triangularity",
                      {"j": "1/2", "order": str(cfg.order)},
-                     reps.r_triangularity_check(half, half, cfg.order)))
+                     reps.r_triangularity_check(HALF, HALF, cfg.order)))
 
     rng = random.Random(20240819)
     ok, detail = True, ""
-    labels = [(j, m) for j in spins_up_to(cfg.product_spin, HalfInt(1))
+    labels = [(j, m) for j in spins_up_to(cfg.product_spin, HALF)
               for m in weights(j)]
     for trial in range(5):
         target = weyl.WeylElement.zero(cfg.order)
@@ -521,7 +522,7 @@ def build_parser():
 
     ver = sub.add_parser("verify", help="run verification suites")
     _add_common(ver)
-    ver.add_argument("--max-spin", type=spin, default=HalfInt(4),
+    ver.add_argument("--max-spin", type=spin, default=HalfInt.parse("2"),
                      help="largest spin label exercised (default 2)")
     ver.add_argument("--suite", action="append",
                      help="suite name (repeatable; default all)")

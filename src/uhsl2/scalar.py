@@ -216,6 +216,19 @@ def _radical_terms(value):
     return value.terms if isinstance(value, RadicalSum) else {1: value}
 
 
+def _numerator_product(num1, num2, order):
+    """The sparse product of two numerator dicts {(k, r): int}, up to h^order."""
+    out = {}
+    for (i, r1), a in num1.items():
+        for (j, r2), b in num2.items():
+            if i + j > order:
+                continue
+            s, r = _radical_product(r1, r2)
+            key = (i + j, r)
+            out[key] = out.get(key, 0) + a * b * s
+    return out
+
+
 class HSeries:
     """Truncated polynomial sum_{k<=order} c_k*h^k with RadicalSum coefficients.
 
@@ -364,16 +377,8 @@ class HSeries:
         for a, b in ((self, other), (other, self)):
             if len(a.num) == 1 and (0, 1) in a.num:
                 return b._times(a.num[(0, 1)], a.den)
-        order = self.order
-        out = {}
-        for (i, r1), a in self.num.items():
-            for (j, r2), b in other.num.items():
-                if i + j > order:
-                    continue
-                s, r = _radical_product(r1, r2)
-                key = (i + j, r)
-                out[key] = out.get(key, 0) + a * b * s
-        return HSeries._make(out, self.den * other.den, order)
+        return HSeries._make(_numerator_product(self.num, other.num, self.order),
+                             self.den * other.den, self.order)
 
     __rmul__ = __mul__
 
@@ -457,6 +462,48 @@ class HSeries:
 
 
 SCALARS = (int, Fraction, RadicalSum, HSeries)
+
+
+def _over_one_denominator(terms):
+    """The numerator dicts of a {key: HSeries} sum over the lcm of its denominators."""
+    den = lcm(*(c.den for c in terms.values()))
+    return [(key, c.num if c.den == den else
+             {k: a * (den // c.den) for k, a in c.num.items()})
+            for key, c in terms.items()], den
+
+
+def normal_product(terms1, terms2, reorder, order):
+    """The product of two normal-ordered sums {(p, q): HSeries} of x^p y^q.
+
+    reorder(q1, p2) lists y^q1 x^p2 in normal order as entries (dp, dq, t, e),
+    each the term e*h^t x^dp y^dq with e an int.  Each pair of terms
+    multiplies its numerators once; each output monomial collects its
+    numerators in one dict over the product of the operands' denominators,
+    and becomes one series at the end.
+    """
+    nums1, den1 = _over_one_denominator(terms1)
+    nums2, den2 = _over_one_denominator(terms2)
+    acc = {}
+    for (p1, q1), a in nums1:
+        for (p2, q2), b in nums2:
+            num = _numerator_product(a, b, order)
+            if not num:
+                continue
+            for dp, dq, t, e in reorder(q1, p2):
+                if t > order:
+                    continue
+                out = acc.setdefault((p1 + dp, dq + q2), {})
+                for (k, r), c in num.items():
+                    if k + t <= order:
+                        key = (k + t, r)
+                        out[key] = out.get(key, 0) + c * e
+    den = den1 * den2
+    out = {}
+    for key, num in acc.items():
+        c = HSeries._make(num, den, order)
+        if c.num:
+            out[key] = c
+    return out
 
 
 def as_series(c, order):
@@ -660,7 +707,9 @@ class HalfInt:
         return self.twice < HalfInt.of(other).twice
 
     def __hash__(self):
-        return hash(self.as_fraction())
+        # equal to hash(self.as_fraction()), since == holds with ints and Fractions
+        t = self.twice
+        return hash(t // 2) if t % 2 == 0 else hash(Fraction(t, 2))
 
     def __str__(self):
         if self.twice % 2 == 0:

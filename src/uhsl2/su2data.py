@@ -18,7 +18,9 @@ from .scalar import HalfInt, RadicalSum, sqrt_fraction, sqrt_ratio
 
 def fact(x):
     """Factorial of a nonnegative integer-valued HalfInt / int / Fraction."""
-    if isinstance(x, HalfInt):
+    if isinstance(x, int):
+        n = x
+    elif isinstance(x, HalfInt):
         n = x.as_int()
     else:
         f = Fraction(x)

@@ -16,10 +16,10 @@ binomial series and agree under the conversion maps below.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import comb, factorial, prod
 
 from .scalar import (SCALARS, HalfInt, HSeries, SeriesCombination, add_into,
-                     as_series, sqrt_fraction)
+                     as_series, normal_product, sqrt_fraction)
 from .su2data import fact
 
 
@@ -66,15 +66,8 @@ class _NormalPoly(SeriesCombination):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for (p1, q1), c1 in self.terms.items():
-            for (p2, q2), c2 in other.terms.items():
-                c12 = c1 * c2
-                if c12.is_zero():
-                    continue
-                for key, extra in self._reorder_terms(p1, q1, p2, q2):
-                    add_into(out, key, _resolve_extra(c12, extra))
-        return self._like(out)
+        return self._like(normal_product(self.terms, other.terms, self._reorder,
+                                         self.order))
 
     def substitute(self, img_a, img_abar):
         """Apply the algebra map (first, second generator) -> (img_a, img_abar).
@@ -135,19 +128,37 @@ class _NormalPoly(SeriesCombination):
                           for (p, q), c in sorted(self.terms.items())]}
 
 
+@lru_cache(maxsize=None)
+def _weyl_reorder(q, p):
+    """Normal ordering of abar^q a^p, as entries (p', q', hpower, int):
+    abar^q a^p = sum_k k! C(q,k) C(p,k) a^(p-k) abar^(q-k)."""
+    return tuple((p - k, q - k, 0, factorial(k) * comb(q, k) * comb(p, k))
+                 for k in range(min(q, p) + 1))
+
+
+@lru_cache(maxsize=None)
+def _osc_reorder(q, p):
+    """Normal ordering of Abar^q A^p, as entries (p', q', hpower, int).
+
+    Uses [Abar, A^p] = p A^(p-1) (1 - h A^2), i.e.
+    Abar A^p = A^p Abar + p A^(p-1) - p h A^(p+1).
+    """
+    if q == 0 or p == 0:
+        return ((p, q, 0, 1),)
+    out = {}
+    for rest, dq, dt, f in ((_osc_reorder(q - 1, p), 1, 0, 1),
+                            (_osc_reorder(q - 1, p - 1), 0, 0, p),
+                            (_osc_reorder(q - 1, p + 1), 0, 1, -p)):
+        for pp, qq, t, e in rest:
+            key = (pp, qq + dq, t + dt)
+            out[key] = out.get(key, 0) + e * f
+    return tuple((*key, e) for key, e in out.items() if e)
+
+
 class WeylElement(_NormalPoly):
     """Normal-ordered element of the Weyl algebra, abar a = a abar + 1."""
 
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def _reorder_terms(p1, q1, p2, q2):
-        # abar^q a^p = sum_k k! C(q,k) C(p,k) a^(p-k) abar^(q-k)
-        out = []
-        for k in range(min(q1, p2) + 1):
-            extra = fact(k) * _gen_binom(q1, k) * _gen_binom(p2, k)
-            out.append(((p1 + p2 - k, q1 + q2 - k),
-                        None if extra == 1 else Fraction(extra)))
-        return tuple(out)
+    _reorder = staticmethod(_weyl_reorder)
 
     def _str_names(self):
         return "a", "abar"
@@ -156,65 +167,15 @@ class WeylElement(_NormalPoly):
 class OscElement(_NormalPoly):
     """Normal-ordered element of the deformed oscillator, [Abar, A] = 1 - h A^2."""
 
+    _reorder = staticmethod(_osc_reorder)
+
     def _str_names(self):
         return "A", "Abar"
-
-    @staticmethod
-    def _reorder_terms(p1, q1, p2, q2):
-        out = []
-        for (p, q, t), coeff in _osc_reorder(q1, p2).items():
-            out.append(((p1 + p, q + q2), _HMono(t, coeff)))
-        return out
 
     def substitute_abar(self, shift):
         """Apply the algebra map A -> A, Abar -> Abar + shift*A (shift a scalar series)."""
         lin = OscElement({(0, 1): 1, (1, 0): shift}, self.order)
         return self.substitute(OscElement.monomial(1, 0, self.order), lin)
-
-
-class _HMono:
-    """Lazy h^t * coeff marker, resolved against the element order at use."""
-    __slots__ = ("t", "coeff")
-
-    def __init__(self, t, coeff):
-        self.t, self.coeff = t, coeff
-
-
-def _resolve_extra(c12, extra):
-    """Multiply a coefficient by a reorder factor (None, Fraction, or h-monomial)."""
-    if extra is None:
-        return c12
-    if isinstance(extra, _HMono):
-        if extra.t > c12.order:
-            return HSeries.zero(c12.order)
-        return c12 * HSeries.h_power(extra.t, c12.order, extra.coeff)
-    return c12 * extra
-
-
-@lru_cache(maxsize=None)
-def _osc_reorder(q, p):
-    """Normal ordering of Abar^q A^p, as {(p', q', hpower): Fraction}.
-
-    Uses [Abar, A^p] = p A^(p-1) (1 - h A^2), i.e.
-    Abar A^p = A^p Abar + p A^(p-1) - p h A^(p+1).
-    """
-    if q == 0 or p == 0:
-        return {(p, q, 0): Fraction(1)}
-    prev = _osc_reorder(q - 1, p)
-    out = {}
-
-    def put(key, val):
-        out[key] = out.get(key, Fraction(0)) + val
-        if not out[key]:
-            del out[key]
-
-    for (pp, qq, t), c in prev.items():
-        put((pp, qq + 1, t), c)
-    for (pp, qq, t), c in _osc_reorder(q - 1, p - 1).items():
-        put((pp, qq, t), c * p)
-    for (pp, qq, t), c in _osc_reorder(q - 1, p + 1).items():
-        put((pp, qq, t + 1), -c * p)
-    return out
 
 
 def j_plus(order):

@@ -59,6 +59,11 @@ REPS_TOWER_REPORT = (
     "verify -H 16 --max-spin 4 --suite twist --suite hopf --suite coupled-basis"
     " --suite ohn --suite properties --format json",
     "3afdad4c25a9364677b36cd576b9e6d9988bb148876542b3467011eaa35e0e1b")
+# the two suites made of Weyl and oscillator products, at a second order;
+# recorded before those products ran over integer numerators
+WEYL_ORDER_12_REPORT = (
+    "verify --suite product-law --suite h-symplecton -H 12 --format json",
+    "93c4306315ca59343afefdc1510937cafc18068a9cfe8715eb2d944cf9f0e467")
 
 
 def test_readme_compute_lines_are_pinned():
@@ -69,7 +74,8 @@ def test_readme_compute_lines_are_pinned():
 
 
 @pytest.mark.parametrize("line, digest", [*README_COMPUTE.items(),
-                                          *LARGER_COMPUTE.items(), REPS_TOWER_REPORT])
+                                          *LARGER_COMPUTE.items(), REPS_TOWER_REPORT,
+                                          WEYL_ORDER_12_REPORT])
 def test_compute_output_bytes(capsys, line, digest):
     code, out = run(capsys, *shlex.split(line))
     assert code == 0

@@ -352,6 +352,11 @@ def test_half_int_equality_with_non_half_integers():
     assert HalfInt(1) != 0 and HalfInt(1) != "1/2"
 
 
+def test_half_int_hash_matches_fraction():
+    for t in range(-20, 21):
+        assert hash(HalfInt(t)) == hash(Fraction(t, 2))
+
+
 def test_half_int_ranges():
     assert [str(m) for m in weights(HalfInt(3))] == ["-3/2", "-1/2", "1/2", "3/2"]
     assert [m.twice for m in half_range(0, 2)] == [0, 2, 4]

@@ -209,6 +209,10 @@ def test_bracket_coeff_values():
 def test_fact_and_triangle():
     assert fact(HalfInt(6)) == 6
     assert fact(0) == 1
+    assert fact(5) == 120 and fact(Fraction(8, 2)) == 24
+    for bad in (-1, HalfInt(1), HalfInt(-2), Fraction(1, 2), Fraction(-3)):
+        with pytest.raises(ValueError):
+            fact(bad)
     assert triangle_ok(H12, H12, 1)
     assert not triangle_ok(H12, H12, H12)  # half-integer perimeter
     assert not triangle_ok(0, 1, 2)
