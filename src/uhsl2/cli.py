@@ -18,7 +18,7 @@ from . import su2data
 from . import symplecton
 from . import weyl
 
-# spins written as spins: HalfInt holds twice the value
+# HalfInt holds twice the spin, so the suites name their spins by value
 HALF, ONE = HalfInt.parse("1/2"), HalfInt.parse("1")
 
 

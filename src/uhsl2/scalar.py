@@ -492,18 +492,13 @@ def normal_product(terms1, terms2, reorder, order):
             for dp, dq, t, e in reorder(q1, p2):
                 if t > order:
                     continue
-                out = acc.setdefault((p1 + dp, dq + q2), {})
+                sums = acc.setdefault((p1 + dp, dq + q2), {})
                 for (k, r), c in num.items():
                     if k + t <= order:
                         key = (k + t, r)
-                        out[key] = out.get(key, 0) + c * e
-    den = den1 * den2
-    out = {}
-    for key, num in acc.items():
-        c = HSeries._make(num, den, order)
-        if c.num:
-            out[key] = c
-    return out
+                        sums[key] = sums.get(key, 0) + c * e
+    out = {key: HSeries._make(num, den1 * den2, order) for key, num in acc.items()}
+    return {key: c for key, c in out.items() if c.num}
 
 
 def as_series(c, order):
