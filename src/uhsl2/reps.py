@@ -407,7 +407,7 @@ def _antipode_atom(rep, atom):
         ident = Matrix.identity(rep.dim, rep.order)
         out = -(rep.jm * em1)
         out = out - (rep.j0 * rep.j0 * (em1 + ident) * em1).scale(
-            h1 * HSeries.constant(Fraction(1, 2), rep.order))
+            HSeries.h_power(1, rep.order, Fraction(1, 2)))
         out = out + (rep.j0 * (em1 - ident) * em1).scale(h1)
         return out
     kind, alpha = atom
@@ -525,14 +525,13 @@ def ohn_suite(j, order):
     """
     rep = _cached_spin_rep(HalfInt.of(j).twice, order)
     half = Fraction(1, 2)
-    h1 = HSeries.h_power(1, order)
     emh = rep.exp_sigma(-half)
     eph = rep.exp_sigma(half)
     em1 = rep.exp_sigma(-1)
     ident = Matrix.identity(rep.dim, order)
 
     hmat = emh * rep.j0
-    ymat = emh * (rep.jm + (rep.j0 * rep.j0).scale(h1 * HSeries.constant(half, order))) \
+    ymat = emh * (rep.jm + (rep.j0 * rep.j0).scale(HSeries.h_power(1, order, half))) \
         - (eph * (em1 - ident)).scale(HSeries.h_power(1, order, Fraction(1, 8)))
     # sinh and cosh of hX = s/2, finite sums by nilpotency
     sinh = (eph - emh).scale(half)
@@ -617,19 +616,17 @@ def coupled_basis_suite(j1, j2, order):
     binv = c.transpose() * twist_inverse(j1, j2, order)
     out["b_inverse"] = binv * b == Matrix.identity(n, order)
 
-    labels = coupled_labels(j1, j2)
+    # the coupled basis runs over the spins k ascending, weights ascending
+    # within each, so the expected matrices are direct sums of spin-k blocks
+    blocks = [_cached_spin_rep(k.twice, order)
+              for k in half_range(HalfInt(abs(j1.twice - j2.twice)), j1 + j2)]
     t12 = twisted_tensor(r1, r2)
-    for gen, mat in (("J0", t12.j0), ("Jp", t12.jp), ("Jm", t12.jm)):
-        conj = binv * mat * b
-        expect = {}
-        for col, (j, m) in enumerate(labels):
-            if gen == "J0":
-                expect[(col, col)] = HSeries.constant(Fraction((2 * m).as_int()), order)
-            elif gen == "Jp" and m < j:
-                expect[(labels.index((j, m + 1)), col)] = \
-                    HSeries.constant(ladder_coeff(j, m, +1), order)
-            elif gen == "Jm" and m > -j:
-                expect[(labels.index((j, m - 1)), col)] = \
-                    HSeries.constant(ladder_coeff(j, m, -1), order)
+    for gen in ("J0", "Jp", "Jm"):
+        conj = binv * getattr(t12, gen.lower()) * b
+        expect, base = {}, 0
+        for block in blocks:
+            for (i, k), v in getattr(block, gen.lower()).terms.items():
+                expect[(base + i, base + k)] = v
+            base += block.dim
         out[f"block_{gen}"] = conj == Matrix(n, n, order, expect)
     return out

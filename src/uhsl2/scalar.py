@@ -45,12 +45,6 @@ def _radical_product(r1, r2):
     return _square_free_split(r1 * r2)
 
 
-def radical_normalize(n, q=1):
-    """Exact q*sqrt(n) as a RadicalSum, e.g. sqrt(8) -> 2*sqrt(2)."""
-    s, r = _square_free_split(n)
-    return RadicalSum({r: Fraction(q) * s})
-
-
 def sqrt_ratio(p, q, n=1, d=1):
     """Canonical (num, den, r) with (n/d)*sqrt(p/q) = (num/den)*sqrt(r), for
     positive ints p, q, d: r square-free, den > 0 coprime to num.  p/q need
@@ -91,10 +85,6 @@ class RadicalSum:
         out = object.__new__(RadicalSum)
         out.terms = terms if all(terms.values()) else {r: q for r, q in terms.items() if q}
         return out
-
-    @staticmethod
-    def from_rational(q):
-        return RadicalSum({1: Fraction(q)})
 
     @staticmethod
     def zero():
@@ -593,7 +583,8 @@ class SeriesCombination:
         return (-self) + other
 
     def scale(self, c):
-        c = as_series(c, self.order)
+        if not isinstance(c, (int, Fraction)):
+            c = as_series(c, self.order)
         out = {}
         for key, v in self.terms.items():
             add_into(out, key, v * c)
@@ -656,9 +647,6 @@ class HalfInt:
                 raise ValueError(f"bad half-integer literal {text!r}")
             return HalfInt(int(num))
         return HalfInt(2 * int(text))
-
-    def is_integer(self):
-        return self.twice % 2 == 0
 
     def as_int(self):
         if self.twice % 2:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalar import (SCALARS, HSeries, HalfInt, SeriesCombination, add_into,
-                     as_series, sqrt_fraction, weights)
+                     sqrt_fraction, weights)
 from .su2data import fact
 from .symplecton import osc_symplecton_poly
 from .weyl import symplecton_pivot
@@ -144,14 +144,6 @@ class Presentation:
 
     def constant(self, c):
         return NCElement(self, {(): c})
-
-    def element(self, terms):
-        """Build from {word of gen names: coefficient}, normal-ordering it."""
-        raw = {}
-        for word, c in terms.items():
-            key = tuple(self.index[g] for g in word)
-            raw[key] = as_series(c, self.order)
-        return NCElement(self, self.normal_form(raw))
 
 
 class NCElement(SeriesCombination):
@@ -299,12 +291,11 @@ def mixed_algebra(module, order, quotient=True):
     return Presentation(f"{module}-with-group", gens, rules, order)
 
 
-def _copied_group_rules(order, flags):
+def _copied_group_rules(order, quotient, copies):
     one = HSeries.one(order)
-    copies = len(flags)
     gens = tuple(f"{g}{c}" for c in range(1, copies + 1) for g in GROUP_GENS)
     rules = {}
-    for c, quotient in enumerate(flags):
+    for c in range(copies):
         base = 4 * c
         for key, rhs in _group_rules(tuple(base + i for i in range(4)),
                                      order, quotient).items():
@@ -318,15 +309,13 @@ def _copied_group_rules(order, flags):
 
 @lru_cache(maxsize=None)
 def tensor_square(order, quotient=True):
-    flags = quotient if isinstance(quotient, tuple) else (quotient, quotient)
-    gens, rules = _copied_group_rules(order, flags)
+    gens, rules = _copied_group_rules(order, quotient, 2)
     return Presentation("group-tensor-square", gens, rules, order)
 
 
 @lru_cache(maxsize=None)
 def tensor_cube(order, quotient=True):
-    flags = quotient if isinstance(quotient, tuple) else (quotient,) * 3
-    gens, rules = _copied_group_rules(order, flags)
+    gens, rules = _copied_group_rules(order, quotient, 3)
     return Presentation("group-tensor-cube", gens, rules, order)
 
 
@@ -519,21 +508,6 @@ def exchange_matrix(order):
             [zero, zero, zero, one]]
 
 
-def _scalar_matmul_nc(scalars, ncmat, pres, scalars_on_left=True):
-    n = len(ncmat)
-    out = [[pres.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = pres.zero()
-            for k in range(n):
-                if scalars_on_left:
-                    acc = acc + ncmat[k][j].scale(scalars[i][k])
-                else:
-                    acc = acc + ncmat[i][k].scale(scalars[k][j])
-            out[i][j] = acc
-    return out
-
-
 def _nc_matmul(a, b, pres):
     n = len(a)
     out = [[pres.zero() for _ in range(n)] for _ in range(n)]
@@ -554,8 +528,8 @@ def _exchange_entries(pres, order):
            for b in range(4)] for a in range(4)]
     t2 = [[t[a % 2][b % 2] if a // 2 == b // 2 else pres.zero()
            for b in range(4)] for a in range(4)]
-    lhs = _scalar_matmul_nc(r, _nc_matmul(t1, t2, pres), pres)
-    rhs = _scalar_matmul_nc(r, _nc_matmul(t2, t1, pres), pres, scalars_on_left=False)
+    lhs = _nc_matmul(r, _nc_matmul(t1, t2, pres), pres)
+    rhs = _nc_matmul(_nc_matmul(t2, t1, pres), r, pres)
     return [[lhs[i][j] - rhs[i][j] for j in range(4)] for i in range(4)]
 
 

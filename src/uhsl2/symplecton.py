@@ -20,7 +20,7 @@ from .reps import exp_sigma_entry
 from .weyl import (OscElement, WeylElement, ad_j0, ad_jminus, ad_jplus,
                    classical_symplecton, decompose_symplecton_basis,
                    exp_m_sigma, exp_m_sigma_osc, h_symplecton, j_minus,
-                   j_plus, j_zero, ladder_coeff, to_oscillator)
+                   j_plus, j_zero, ladder_coeff, symplecton_pivot, to_oscillator)
 
 
 def symmetry_check(max_j, order=0):
@@ -35,43 +35,6 @@ def symmetry_check(max_j, order=0):
             if got != want:
                 return False
     return True
-
-
-def _poly_mul(x, y):
-    out = [Fraction(0)] * (len(x) + len(y) - 1)
-    for i, a in enumerate(x):
-        if not a:
-            continue
-        for k, b in enumerate(y):
-            out[i + k] += a * b
-    return out
-
-
-def _poly_add(x, y):
-    n = max(len(x), len(y))
-    return [(x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0)
-            for i in range(n)]
-
-
-def _poly_divide_exact(num, den):
-    """Exact polynomial division over Fraction; raises on a nonzero remainder."""
-    num = list(num)
-    while num and not num[-1]:
-        num.pop()
-    dl = len(den) - 1
-    if not num:
-        return [Fraction(0)]
-    quo = [Fraction(0)] * (len(num) - dl)
-    for top in range(len(num) - 1, dl - 1, -1):
-        c = num[top] / den[dl]
-        quo[top - dl] = c
-        if c:
-            for i, d in enumerate(den):
-                num[top - dl + i] -= c * d
-    if any(num[:dl]):
-        raise ValueError("polynomial division left a nonzero remainder; "
-                         "the closed form does not normal-order as expected")
-    return quo
 
 
 def hypergeometric_form(j, m, order):
@@ -89,36 +52,43 @@ def hypergeometric_form(j, m, order):
     K = (j - m).as_int()
     JM = (j + m).as_int()
     ms = (2 * m).as_int()
-    prefactor = [Fraction(1)]
+    # polynomials in x = a*abar, as series of order 2j in x
+    top = (2 * j).as_int()
+    x = HSeries.h_power(1, top)
+    prefactor = HSeries.one(top)
     for t in range(1, JM + 1):
-        prefactor = _poly_mul(prefactor, [Fraction(t - ms), Fraction(1)])
-    total = [Fraction(0)]
+        prefactor = prefactor * (x + (t - ms))
+    total = HSeries.zero(top)
     for k in range(K + 1):
         coeff = Fraction(-1) ** k / fact(k)
         for i in range(k):
             coeff *= Fraction(-K + i)  # rising factorial of the terminating slot
-        term = [coeff]
+        term = HSeries.constant(coeff, top)
         for i in range(k):
-            term = _poly_mul(term, [Fraction(ms + i), Fraction(-1)])
+            term = term * (ms + i - x)
         for i in range(k, K):
-            term = _poly_mul(term, [Fraction(i - K), Fraction(-1)])
-        total = _poly_add(total, term)
-    denom = [Fraction(1)]
+            term = term * (i - K - x)
+        total = total + term
+    denom = HSeries.one(top)
     for i in range(K):
-        denom = _poly_mul(denom, [Fraction(i - K), Fraction(-1)])
-    poly = _poly_divide_exact(_poly_mul(prefactor, total), denom)
+        denom = denom * (i - K - x)
+    # the constant term of denom is (-1)^K K!, a unit; prefactor * total has
+    # degree at most 2j, so the division is exact iff the quotient stops at
+    # degree j+m
+    poly = prefactor * total * denom.invert_unit()
+    if any(not poly.coeff(t).is_zero() for t in range(JM + 1, top + 1)):
+        raise ValueError("polynomial division left a nonzero remainder; "
+                         "the closed form does not normal-order as expected")
 
-    scale = sqrt_fraction(Fraction(fact(2 * j), fact(j + m) * fact(j - m))) \
-        * Fraction(1, 2 ** K)
     n_elem = WeylElement.monomial(1, 1, order)
     out = WeylElement.zero(order)
     npow = WeylElement.one(order)
-    for t, c in enumerate(poly):
+    for t in range(JM + 1):
         if t:
             npow = npow * n_elem
-        if c:
-            out = out + npow.scale(c)
-    return (out * WeylElement.monomial(0, -ms, order)).scale(scale)
+        out = out + npow.scale(poly.coeff(t))
+    return (out * WeylElement.monomial(0, -ms, order)).scale(
+        symplecton_pivot(j, m) * Fraction(1, 2 ** K))
 
 
 def osc_symplecton_poly(j, m, order, form="A"):
@@ -196,24 +166,21 @@ def tensor_operator_check(max_j, order):
 def decompose_twisted(w):
     """Expand a Weyl element over the twisted family, order by order in h.
 
-    Returns {(k, mu): HSeries}.  At each h-order the residue is decomposed
-    classically and the full twisted representative is subtracted, so the
-    expansion is exact when the residue vanishes, which is asserted.
+    Returns {(k, mu): HSeries}.  At each h-order the residue's h^t layer,
+    classical by construction, is decomposed at order 0 and the full twisted
+    representative is subtracted, so the expansion is exact when the residue
+    vanishes, which is asserted.
     """
     order = w.order
     rest = w
     out = {}
     for t in range(order + 1):
-        layer = WeylElement({key: HSeries.constant(c.coeff(t), order)
-                             for key, c in rest.terms.items()}, order)
+        layer = WeylElement({key: HSeries.constant(c.coeff(t), 0)
+                             for key, c in rest.terms.items()}, 0)
         if layer.is_zero():
             continue
         for (k, mu), c in decompose_symplecton_basis(layer).items():
-            c0 = c.at_h0()
-            if c.valuation() not in (None, 0) or c0.is_zero():
-                # the layer is constant in h by construction
-                raise RuntimeError("unexpected h-dependence in a fixed layer")
-            coeff = HSeries.h_power(t, order, 1).scale(c0)
+            coeff = HSeries.h_power(t, order, c.at_h0())
             add_into(out, (k, mu), coeff)
             rest = rest - h_symplecton(k, mu, order).scale(coeff)
     if not rest.is_zero():
@@ -226,10 +193,17 @@ def _spin_pairs(max_j):
     return [(j, jp_) for j in spins for jp_ in spins]
 
 
-def _pair_products(j, jp_, order):
-    """Every product P~_j^m P~_j'^m' of one spin pair, keyed by (m, m')."""
-    return {(m, mp): h_symplecton(j, m, order) * h_symplecton(jp_, mp, order)
-            for m in weights(j) for mp in weights(jp_)}
+def _pair_tables(j, jp_, order):
+    """Every product P~_j^m P~_j'^m' of one spin pair, and every dressed
+    classical product P_j^m P_j'^n' exp((m+n') s), both keyed by the weights."""
+    products, dressed = {}, {}
+    for m in weights(j):
+        for mp in weights(jp_):
+            products[(m, mp)] = h_symplecton(j, m, order) * h_symplecton(jp_, mp, order)
+            dressed[(m, mp)] = (classical_symplecton(j, m, order)
+                                * classical_symplecton(jp_, mp, order)) \
+                * exp_m_sigma(m + mp, order)
+    return products, dressed
 
 
 def product_formula_component(j, m, jp_, mp, k, mu, order):
@@ -250,7 +224,7 @@ def product_formula_component(j, m, jp_, mp, k, mu, order):
     return entry.scale(bracket_coeff(k, j, jp_) * c)
 
 
-def _intermediate_holds(j, m, jp_, mp, lhs, order):
+def _intermediate_holds(jp_, m, mp, lhs, dressed, order):
     """The product lhs = P~_j^m P~_j'^m' is the twist-redistributed
     classical product.
 
@@ -261,8 +235,7 @@ def _intermediate_holds(j, m, jp_, mp, lhs, order):
         entry = exp_sigma_entry(jp_, np_, m.as_fraction(), mp, order)
         if entry.is_zero():
             continue
-        piece = classical_symplecton(j, m, order) * classical_symplecton(jp_, np_, order)
-        rhs = rhs + (piece * exp_m_sigma(np_ + m, order)).scale(entry)
+        rhs = rhs + dressed[(m, np_)].scale(entry)
     return lhs == rhs
 
 
@@ -286,7 +259,7 @@ def _support(j, jp_, expansions):
     return None
 
 
-def _collapse(j, jp_, products, order):
+def _collapse(j, jp_, products, dressed, order):
     """Summing the products of one spin pair against twist entries recovers
     a single dressed product; the first failure, or None.
 
@@ -301,9 +274,7 @@ def _collapse(j, jp_, products, order):
                 if entry.is_zero():
                     continue
                 lhs = lhs + products[(l, mp)].scale(entry)
-            rhs = (classical_symplecton(j, l, order) * classical_symplecton(jp_, lp, order)) \
-                * exp_m_sigma(l + lp, order)
-            if lhs != rhs:
+            if lhs != dressed[(l, lp)]:
                 return f"collapse fails at l={l}, l'={lp}"
     return None
 
@@ -410,20 +381,21 @@ def _verdict(bad, good):
 def product_law_suite(max_j, order):
     """All product-law layers for spins up to max_j, in one pass over spin pairs.
 
-    Each pair's products and their exact twisted-basis expansions are built
-    once and every layer is read off those two tables.  Returns ({check: (ok,
-    detail)}, ratio table), the table being None when its layer fails.
+    Each pair's products, their exact twisted-basis expansions and its
+    dressed classical products are built once and every layer is read off
+    those three tables.  Returns ({check: (ok, detail)}, ratio table), the
+    table being None when its layer fails.
     """
     bad_product = bad_support = bad_collapse = ratio_error = None
     table, pairing = {}, []
     for j, jp_ in _spin_pairs(max_j):
-        products = _pair_products(j, jp_, order)
+        products, dressed = _pair_tables(j, jp_, order)
         expansions = {key: decompose_twisted(w) for key, w in products.items()}
         for (m, mp), w in products.items():
-            if not _intermediate_holds(j, m, jp_, mp, w, order):
+            if not _intermediate_holds(jp_, m, mp, w, dressed, order):
                 bad_product = f"({j},{m};{jp_},{mp})"
         bad_support = _support(j, jp_, expansions) or bad_support
-        bad_collapse = _collapse(j, jp_, products, order) or bad_collapse
+        bad_collapse = _collapse(j, jp_, products, dressed, order) or bad_collapse
         if ratio_error is None:
             try:
                 table.update(_pair_ratios(j, jp_, expansions, order))
@@ -525,8 +497,7 @@ def generating_function_check(max_j, order):
         rhs = {}
         for m in weights(j):
             key = ((j + m).as_int(), (j - m).as_int())
-            c = sqrt_fraction(Fraction(fact(2 * j), fact(j + m) * fact(j - m)))
-            rhs[key] = classical_symplecton(j, m, order).scale(c)
+            rhs[key] = classical_symplecton(j, m, order).scale(symplecton_pivot(j, m))
         if lhs != rhs:
             return False, f"classical expansion fails at j={j}"
 
@@ -536,9 +507,9 @@ def generating_function_check(max_j, order):
         rhs = {}
         for m in weights(j):
             key = ((j + m).as_int(), (j - m).as_int())
-            c = sqrt_fraction(Fraction(fact(2 * j), fact(j + m) * fact(j - m)))
             rhs[key] = (osc_symplecton_poly(j, m, order)
-                        * exp_m_sigma_osc(-m.as_fraction(), order)).scale(c)
+                        * exp_m_sigma_osc(-m.as_fraction(), order)).scale(
+                            symplecton_pivot(j, m))
         if lhs != rhs:
             return False, f"deformed expansion fails at j={j}"
     return True, "generating functions expand over both families"

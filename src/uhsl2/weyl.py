@@ -237,14 +237,22 @@ def from_oscillator(o):
                         WeylElement.monomial(0, 1, order) * exp_m_sigma(-half, order))
 
 
+def classical_symplecton(j, m, order, form="A"):
+    """The weight-2m spin-j polynomial in a, abar, in normal order, cached."""
+    return _classical_symplecton(HalfInt.of(j).twice, HalfInt.of(m).twice, order, form)
+
+
 @lru_cache(maxsize=None)
-def _classical_coeffs(jt, mt, form):
-    """Normal-form coefficients {(p, q): RadicalSum} of the classical polynomial."""
+def _classical_symplecton(jt, mt, order, form):
+    if order:
+        # free of h: built once at order 0 and lifted
+        base = _classical_symplecton(jt, mt, 0, form)
+        return WeylElement({key: HSeries.constant(c.at_h0(), order)
+                            for key, c in base.terms.items()}, order)
     j, m = HalfInt(jt), HalfInt(mt)
     jp, jm = (j + m).as_int(), (j - m).as_int()
     if jp < 0 or jm < 0:
         raise ValueError(f"|m| > j: j={j}, m={m}")
-    order = 0
     if form == "A":
         pre = sqrt_fraction(Fraction(fact(2 * j) * fact(jm), fact(jp))) / (2 ** jm)
         total = WeylElement.zero(order)
@@ -263,15 +271,7 @@ def _classical_coeffs(jt, mt, form):
             total = total + mono.scale(Fraction(1, fact(s) * fact(jp - s)))
     else:
         raise ValueError(f"unknown form {form!r}")
-    return {key: c.at_h0() * pre for key, c in total.terms.items()}
-
-
-def classical_symplecton(j, m, order, form="A"):
-    """The weight-2m spin-j polynomial in a, abar, in normal order."""
-    j, m = HalfInt.of(j), HalfInt.of(m)
-    coeffs = _classical_coeffs(j.twice, m.twice, form)
-    return WeylElement({key: HSeries.constant(c, order) for key, c in coeffs.items()},
-                       order)
+    return total.scale(pre)
 
 
 def symplecton_pivot(j, m):
@@ -331,11 +331,12 @@ def ad_jminus(t):
     order = t.order
     h1 = HSeries.h_power(1, order)
     j0 = j_zero(order)
-    head = j_minus(order) + j0.scale(h1) + (j0 * j0).scale(h1 * HSeries.constant(Fraction(1, 2), order))
+    half_h = HSeries.h_power(1, order, Fraction(1, 2))
+    head = j_minus(order) + j0.scale(h1) + (j0 * j0).scale(half_h)
     em1, em2 = exp_m_sigma(-1, order), exp_m_sigma(-2, order)
     out = head.commutator(t) * em1
     out = out - j0.commutator(t) * em2.scale(h1)
-    out = out - j0.commutator(j0.commutator(t)) * em2.scale(h1 * HSeries.constant(Fraction(1, 2), order))
+    out = out - j0.commutator(j0.commutator(t)) * em2.scale(half_h)
     return out
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import random
 
 from uhsl2.scalar import (HSeries, RadicalSum, HalfInt, half_range, weights,
-                          spins_up_to, sqrt_fraction, radical_normalize)
+                          spins_up_to, sqrt_fraction)
 from uhsl2.su2data import verify_racah_identity
 from uhsl2.weyl import (WeylElement, OscElement, classical_symplecton,
                         h_symplecton, to_oscillator, exp_m_sigma)
@@ -95,7 +95,7 @@ def test_07_classical_family_closed_forms():
     assert classical_symplecton(HALF, HALF, 0) == WeylElement.monomial(1, 0, 0)
     assert classical_symplecton(HALF, -HALF, 0) == WeylElement.monomial(0, 1, 0)
     assert classical_symplecton(1, 1, 0) == WeylElement.monomial(2, 0, 0)
-    p10 = WeylElement({(1, 1): HSeries.constant(radical_normalize(2), 0),
+    p10 = WeylElement({(1, 1): HSeries.constant(sqrt_fraction(2), 0),
                        (0, 0): HSeries.constant(sqrt_fraction(Fraction(1, 2)), 0)}, 0)
     assert classical_symplecton(1, 0, 0) == p10
 
@@ -162,7 +162,7 @@ def test_10_product_expansion_structure():
         for jp_ in spins:
             for k in half_range(HalfInt(abs(j.twice - jp_.twice)), j + jp_):
                 assert (j, jp_, k) in table, f"no ratio for triple ({j},{jp_},{k})"
-    one = RadicalSum.from_rational(Fraction(1))
+    one = RadicalSum({1: Fraction(1)})
     assert table[(HALF, HALF, HalfInt(0))] == one
     assert table[(HALF, HALF, HalfInt(2))] == sqrt_fraction(Fraction(1, 2))
 

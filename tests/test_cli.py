@@ -64,6 +64,11 @@ REPS_TOWER_REPORT = (
 WEYL_ORDER_12_REPORT = (
     "verify --suite product-law --suite h-symplecton -H 12 --format json",
     "93c4306315ca59343afefdc1510937cafc18068a9cfe8715eb2d944cf9f0e467")
+# the hypergeometric closed form up to spin 4 and the exchange-matrix
+# relations; recorded before the closed form divided its polynomials as series
+SYMPLECTON_SLH2_REPORT = (
+    "verify --suite symplecton --suite slh2 --max-spin 4 --format json",
+    "d61d5dcb99023e2f45e5d258ce79874f17d0601f8a9dadadf4a70d8bb84cfbd3")
 
 
 def test_readme_compute_lines_are_pinned():
@@ -75,7 +80,7 @@ def test_readme_compute_lines_are_pinned():
 
 @pytest.mark.parametrize("line, digest", [*README_COMPUTE.items(),
                                           *LARGER_COMPUTE.items(), REPS_TOWER_REPORT,
-                                          WEYL_ORDER_12_REPORT])
+                                          WEYL_ORDER_12_REPORT, SYMPLECTON_SLH2_REPORT])
 def test_compute_output_bytes(capsys, line, digest):
     code, out = run(capsys, *shlex.split(line))
     assert code == 0

@@ -117,9 +117,10 @@ def test_word_minus_one_rewrite_step_is_zero(name):
 
 def test_step_limit_names_presentation_word_and_count(monkeypatch):
     pres = group_algebra(ORDER, True)
+    terms = {tuple(pres.index[g] for g in ("u", "u", "y", "x")): HSeries.one(ORDER)}
     monkeypatch.setattr(slh2, "_MAX_REWRITE_STEPS", 0)
     with pytest.raises(RuntimeError) as exc:
-        pres.element({("u", "u", "y", "x"): 1})
+        pres.normal_form(terms)
     message = str(exc.value)
     assert pres.name in message
     assert "step limit of 0 rewrite steps" in message
@@ -127,4 +128,4 @@ def test_step_limit_names_presentation_word_and_count(monkeypatch):
 
     monkeypatch.setattr(slh2, "_MAX_REWRITE_STEPS", 5)
     with pytest.raises(RuntimeError, match=r"limit of 5 rewrite steps at the word [xyuv^*0-9]+$"):
-        pres.element({("u", "u", "y", "x"): 1})
+        pres.normal_form(terms)

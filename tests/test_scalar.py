@@ -7,39 +7,38 @@ from math import gcd
 import pytest
 
 from uhsl2.scalar import (HalfInt, HSeries, RadicalSum, half_range,
-                          radical_normalize, spins_up_to, sqrt_fraction,
-                          weights)
+                          spins_up_to, sqrt_fraction, weights)
 
 
 def test_radical_normalize_examples():
-    assert radical_normalize(8) == RadicalSum({2: 2})
-    assert radical_normalize(1) == RadicalSum({1: 1})
-    assert radical_normalize(12) == RadicalSum({3: 2})
-    assert radical_normalize(49) == RadicalSum({1: 7})
-    assert radical_normalize(2, Fraction(1, 2)) == RadicalSum({2: Fraction(1, 2)})
+    assert sqrt_fraction(8) == RadicalSum({2: 2})
+    assert sqrt_fraction(1) == RadicalSum({1: 1})
+    assert sqrt_fraction(12) == RadicalSum({3: 2})
+    assert sqrt_fraction(49) == RadicalSum({1: 7})
+    assert sqrt_fraction(2) * Fraction(1, 2) == RadicalSum({2: Fraction(1, 2)})
 
 
 def test_radical_normalize_squares_back():
     # q*sqrt(r) squared must reproduce n*q^2 for every n up to 1000
     for n in range(1, 1001):
-        s = radical_normalize(n)
+        s = sqrt_fraction(n)
         assert s * s == RadicalSum({1: n}), f"sqrt({n}) normalized wrong"
 
 
 def test_radical_products():
-    r2, r3 = radical_normalize(2), radical_normalize(3)
-    assert r2 * r3 == radical_normalize(6)
+    r2, r3 = sqrt_fraction(2), sqrt_fraction(3)
+    assert r2 * r3 == sqrt_fraction(6)
     assert r2 * r2 == RadicalSum({1: 2})
     assert (1 + r2) * (1 - r2) == RadicalSum({1: -1})
-    r6 = radical_normalize(6)
+    r6 = sqrt_fraction(6)
     assert r2 * r6 == RadicalSum({3: 2})  # sqrt(2)*sqrt(6) = 2*sqrt(3)
 
 
 def test_radical_inversion():
-    x = radical_normalize(2, Fraction(3, 4))  # (3/4)*sqrt(2)
+    x = sqrt_fraction(2) * Fraction(3, 4)
     assert x * x.invert() == RadicalSum.one()
     with pytest.raises(ValueError):
-        (1 + radical_normalize(2)).invert()
+        (1 + sqrt_fraction(2)).invert()
     assert sqrt_fraction(Fraction(1, 2)) * sqrt_fraction(Fraction(1, 2)) == RadicalSum({1: Fraction(1, 2)})
 
 
@@ -104,7 +103,7 @@ def test_series_invert_unit():
     s = HSeries.one(H) - HSeries.h_power(1, H, 2)  # 1 - 2h
     inv = s.invert_unit()
     assert s * inv == HSeries.one(H)
-    t = HSeries.constant(radical_normalize(2), H) + HSeries.h_power(1, H)
+    t = HSeries.constant(sqrt_fraction(2), H) + HSeries.h_power(1, H)
     assert t * t.invert_unit() == HSeries.one(H)
 
 
@@ -128,7 +127,7 @@ def test_series_ring_properties():
 
 
 def test_series_str():
-    s = HSeries.one(2) - HSeries.h_power(2, 2, radical_normalize(2))
+    s = HSeries.one(2) - HSeries.h_power(2, 2, sqrt_fraction(2))
     assert str(s) == "1 - sqrt(2)*h^2 (mod h^3)"
 
 
@@ -298,8 +297,8 @@ def test_series_unit_products():
 
 
 def test_series_coefficient_reads():
-    s = HSeries.constant(radical_normalize(2), 3) + HSeries.h_power(2, 3, Fraction(1, 3))
-    assert s.coeff(0) == radical_normalize(2) and s.coeff(1).is_zero()
+    s = HSeries.constant(sqrt_fraction(2), 3) + HSeries.h_power(2, 3, Fraction(1, 3))
+    assert s.coeff(0) == sqrt_fraction(2) and s.coeff(1).is_zero()
     assert s.coeff(2) == RadicalSum({1: Fraction(1, 3)})
     assert not s.is_constant() and s.truncate(1).is_constant()
     assert HSeries.zero(3).is_constant()
@@ -335,7 +334,7 @@ def test_series_ring_laws_hypothesis():
 def test_half_int():
     j = HalfInt.parse("3/2")
     assert j.twice == 3
-    assert not j.is_integer()
+    assert j.as_fraction() == Fraction(3, 2)
     assert (j + HalfInt.parse("1/2")).as_int() == 2
     assert str(-j) == "-3/2"
     assert HalfInt.of(2) > j

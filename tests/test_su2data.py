@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from uhsl2.scalar import HalfInt, RadicalSum, half_range, radical_normalize, spins_up_to, sqrt_fraction, weights
+from uhsl2.scalar import HalfInt, RadicalSum, half_range, spins_up_to, sqrt_fraction, weights
 from uhsl2.su2data import (bracket_coeff, cgc, fact, nabla, racah_w, sixj,
                            triangle_ok, verify_racah_identity)
 
@@ -170,9 +170,9 @@ def test_racah_recoupling_identity():
 
 
 def test_nabla_values():
-    assert nabla(1, H12, H12) == radical_normalize(6)
+    assert nabla(1, H12, H12) == sqrt_fraction(6)
     for j in spins_up_to(Fraction(5, 2)):
-        assert nabla(0, j, j) == radical_normalize(j.twice + 1)
+        assert nabla(0, j, j) == sqrt_fraction(j.twice + 1)
     assert nabla(1, H12, HalfInt(5)).is_zero()
 
 
@@ -199,7 +199,7 @@ def test_nabla_contraction_with_racah():
 
 def test_bracket_coeff_values():
     assert bracket_coeff(0, H12, H12) == sqrt_fraction(Fraction(1, 2))
-    assert bracket_coeff(1, H12, H12) == radical_normalize(2)
+    assert bracket_coeff(1, H12, H12) == sqrt_fraction(2)
     for j in spins_up_to(2, Fraction(1, 2)):
         expect = sqrt_fraction(Fraction(j.twice + 1, 4 ** j.twice))
         assert bracket_coeff(0, j, j) == expect

@@ -123,7 +123,7 @@ def test_scalar_pairing(law_to_spin_one):
     assert table[(HalfInt(1), HalfInt(1), HalfInt(0))] == RadicalSum.one(), \
         "spin-1/2 pairing constant should be 1/2"
     assert table[(HalfInt(2), HalfInt(2), HalfInt(0))] \
-        == RadicalSum.from_rational(Fraction(2)), "spin-1 pairing constant should be 1/2"
+        == RadicalSum({1: Fraction(2)}), "spin-1 pairing constant should be 1/2"
 
 
 def test_weight_one_commutators():
