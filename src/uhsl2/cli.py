@@ -159,7 +159,7 @@ def suite_h_symplecton(cfg):
 def suite_examples(cfg):
     params = {"order": str(cfg.order)}
     rows = []
-    lhs = weyl.to_oscillator(weyl.exp_m_sigma(1, cfg.order))
+    lhs = weyl.to_oscillator(cfg.order)(weyl.exp_m_sigma(1, cfg.order))
     rhs = (weyl.OscElement.one(cfg.order)
            - weyl.OscElement.monomial(2, 0, cfg.order,
                                       HSeries.h_power(1, cfg.order)))
@@ -360,7 +360,7 @@ def cmd_compute(args):
     elif args.object == "h-symplecton":
         e = weyl.h_symplecton(args.j, args.m, order)
         if args.realization == "osc":
-            e = weyl.to_oscillator(e)
+            e = weyl.to_oscillator(order)(e)
         _emit(args, str(e), e.to_json())
     elif args.object in ("fmatrix", "fmatrix-inverse", "rmatrix"):
         if args.object == "fmatrix":

@@ -122,15 +122,6 @@ class Matrix(SeriesCombination):
         n = self - Matrix.identity(self.nrows, self.order)
         return n._nilpotent_series(lambda k: (-1) ** k)
 
-    def at_h0(self):
-        """Constant term: {key: RadicalSum}."""
-        out = {}
-        for key, v in self.terms.items():
-            c = v.at_h0()
-            if not c.is_zero():
-                out[key] = c
-        return out
-
     def __str__(self):
         rows = []
         for i in range(self.nrows):

@@ -614,6 +614,39 @@ class SeriesCombination:
         return self.space == other.space and self.terms == other.terms
 
 
+class AlgebraMap:
+    """The algebra map sending letter i to images[i], or with reverse=True
+    the antimap, which reads every word backwards.
+
+    Calling the map on an element sums c * image(word) over its terms; the
+    element's type names the letters of each key.  The image of each word
+    suffix is built once, as image(first letter) * image(rest), and kept for
+    as long as the map lives, so a map built once serves a whole family.
+    Words are built from the right because the plane route of
+    slh2.dfunction then stays within the rewrite-step limit at spin 4.
+    """
+
+    def __init__(self, images, reverse=False):
+        self.images = images
+        self.reverse = reverse
+        self._words = {(): next(iter(images.values())).constant(1)}
+
+    def _word(self, letters):
+        img = self._words.get(letters)
+        if img is None:
+            img = self.images[letters[0]] * self._word(letters[1:])
+            self._words[letters] = img
+        return img
+
+    def __call__(self, el):
+        step = -1 if self.reverse else 1
+        out = {}
+        for key, c in el.terms.items():
+            for k, v in self._word(el.letters(key)[::step]).terms.items():
+                add_into(out, k, v * c)
+        return self._words[()]._like(out)
+
+
 @total_ordering
 class HalfInt:
     """Half-integer stored as twice its value, so it hashes and compares exactly."""

@@ -12,11 +12,10 @@ import heapq
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalar import (SCALARS, HSeries, HalfInt, SeriesCombination, add_into,
-                     sqrt_fraction, weights)
+from .scalar import (SCALARS, AlgebraMap, HSeries, HalfInt, SeriesCombination,
+                     add_into, sqrt_fraction, weights)
 from .su2data import fact
 from .symplecton import osc_symplecton_poly
-from .weyl import symplecton_pivot
 
 _MAX_REWRITE_STEPS = 500000
 
@@ -154,6 +153,10 @@ class NCElement(SeriesCombination):
     pres = property(lambda self: self.space)
     order = property(lambda self: self.space.order)
 
+    @staticmethod
+    def letters(word):
+        return word
+
     def __mul__(self, other):
         if isinstance(other, SCALARS):
             return self.scale(other)
@@ -192,27 +195,21 @@ class NCElement(SeriesCombination):
                           for w, c in sorted(self.terms.items())]}
 
 
-def substitute(el, images, target, antihom=False):
-    """Map an element through gen -> image; reverses words for antimaps."""
-    out = target.zero()
-    for word, c in el.terms.items():
-        piece = target.constant(c)
-        letters = reversed(word) if antihom else word
-        for i in letters:
-            piece = piece * images[el.pres.gens[i]]
-        out = out + piece
-    return out
+def letter_map(source, images, antihom=False):
+    """The algebra map (antimap if antihom) on source sending each generator,
+    by name, to its image."""
+    return AlgebraMap({source.index[g]: img for g, img in images.items()}, antihom)
 
 
 # ----------------------------------------------------------------------
 # presentations
 
 
-def _group_rules(idx, order, quotient):
+def _group_rules(order, quotient):
     h1 = HSeries.h_power(1, order)
     h2 = HSeries.h_power(2, order)
     one = HSeries.one(order)
-    X, Y, V, U = idx
+    X, Y, V, U = range(4)
     rules = {
         (Y, X): {(X, Y): one, (X, V): -h1, (Y, V): h1},
         (V, X): {(X, V): one, (V, V): h1},
@@ -234,8 +231,7 @@ GROUP_GENS = ("x", "y", "v", "u")
 @lru_cache(maxsize=None)
 def group_algebra(order, quotient=True):
     name = "deformed-sl2-functions" if quotient else "deformed-gl2-functions"
-    return Presentation(name, GROUP_GENS, _group_rules((0, 1, 2, 3), order, quotient),
-                        order)
+    return Presentation(name, GROUP_GENS, _group_rules(order, quotient), order)
 
 
 @lru_cache(maxsize=None)
@@ -261,62 +257,49 @@ def osc_algebra(order):
     return Presentation("deformed-oscillator", ("a", "abar"), rules, order)
 
 
-def _cross_rules(lo_range, hi_range, one):
-    """Letters of the later block commute past letters of the earlier block."""
-    out = {}
-    for g2 in hi_range:
-        for g1 in lo_range:
-            out[(g2, g1)] = {(g1, g2): one}
-    return out
+def _side_by_side(name, blocks, order):
+    """Blocks of (generator names, rules) side by side: each block's rules
+    move to its letters, and a later block's letters commute past an
+    earlier block's."""
+    one = HSeries.one(order)
+    gens, rules = [], {}
+    for names, block_rules in blocks:
+        n = len(gens)
+        for (a, b), rhs in block_rules.items():
+            rules[(a + n, b + n)] = {tuple(i + n for i in w): c for w, c in rhs.items()}
+        for later in range(n, n + len(names)):
+            rules.update({(later, earlier): {(earlier, later): one} for earlier in range(n)})
+        gens.extend(names)
+    return Presentation(name, gens, rules, order)
 
 
 @lru_cache(maxsize=None)
-def mixed_algebra(module, order, quotient=True):
+def mixed_algebra(module, order):
     """Module coordinates adjoined to the group, the two blocks commuting."""
-    one = HSeries.one(order)
     if module == "plane":
         mod = plane_algebra(order)
     elif module == "osc":
         mod = osc_algebra(order)
     else:
         raise ValueError(f"unknown module {module!r}")
-    n = len(mod.gens)
-    gens = tuple(mod.gens) + GROUP_GENS
-    rules = {}
-    for key, rhs in mod.rules.items():
-        rules[key] = rhs
-    for key, rhs in _group_rules((n, n + 1, n + 2, n + 3), order, quotient).items():
-        rules[key] = rhs
-    rules.update(_cross_rules(range(n), range(n, n + 4), one))
-    return Presentation(f"{module}-with-group", gens, rules, order)
+    return _side_by_side(f"{module}-with-group",
+                         [(mod.gens, mod.rules), (GROUP_GENS, _group_rules(order, True))],
+                         order)
 
 
-def _copied_group_rules(order, quotient, copies):
-    one = HSeries.one(order)
-    gens = tuple(f"{g}{c}" for c in range(1, copies + 1) for g in GROUP_GENS)
-    rules = {}
-    for c in range(copies):
-        base = 4 * c
-        for key, rhs in _group_rules(tuple(base + i for i in range(4)),
-                                     order, quotient).items():
-            rules[key] = rhs
-    for c2 in range(copies):
-        for c1 in range(c2):
-            rules.update(_cross_rules(range(4 * c1, 4 * c1 + 4),
-                                      range(4 * c2, 4 * c2 + 4), one))
-    return gens, rules
+def _group_copies(copies, order, quotient):
+    return [(tuple(g + str(c) for g in GROUP_GENS), _group_rules(order, quotient))
+            for c in range(1, copies + 1)]
 
 
 @lru_cache(maxsize=None)
 def tensor_square(order, quotient=True):
-    gens, rules = _copied_group_rules(order, quotient, 2)
-    return Presentation("group-tensor-square", gens, rules, order)
+    return _side_by_side("group-tensor-square", _group_copies(2, order, quotient), order)
 
 
 @lru_cache(maxsize=None)
 def tensor_cube(order, quotient=True):
-    gens, rules = _copied_group_rules(order, quotient, 3)
-    return Presentation("group-tensor-cube", gens, rules, order)
+    return _side_by_side("group-tensor-cube", _group_copies(3, order, quotient), order)
 
 
 # ----------------------------------------------------------------------
@@ -411,18 +394,18 @@ def slh2_hopf_suite(order):
 
     t2 = tensor_square(order, False)
     delta = coproduct_images(t2)
+    comul = letter_map(full, delta)
     rels = relation_elements(full)
-    bad = [name for name, e in rels.items()
-           if not substitute(e, delta, t2).is_zero()]
+    bad = [name for name, e in rels.items() if not comul(e).is_zero()]
     out["coproduct_respects_relations"] = (not bad, f"violations: {bad}" if bad
                                            else "all six relations preserved")
 
     # Like centrality, group-likeness of the determinant holds only modulo
     # the determinant ideal of each tensor factor; the deviation factors
     # exactly through det - 1 on either side.
-    det12 = substitute(det, delta, t2)
-    det_l = substitute(det, {g: t2.gen(g + "1") for g in GROUP_GENS}, t2)
-    det_r = substitute(det, {g: t2.gen(g + "2") for g in GROUP_GENS}, t2)
+    det12 = comul(det)
+    det_l = letter_map(full, {g: t2.gen(g + "1") for g in GROUP_GENS})(det)
+    det_r = letter_map(full, {g: t2.gen(g + "2") for g in GROUP_GENS})(det)
     gt = t2.gen
     h2 = HSeries.h_power(2, order)
     cof_r = (gt("v1") * gt("v1")).scale(h2)
@@ -430,47 +413,39 @@ def slh2_hopf_suite(order):
     ok = (det12 - det_l * det_r
           == -(cof_r * (det_r - t2.one())) - (cof_l * (det_l - t2.one())))
     t2q = tensor_square(order, True)
-    ok = ok and substitute(det, coproduct_images(t2q), t2q) == t2q.one()
+    ok = ok and letter_map(full, coproduct_images(t2q))(det) == t2q.one()
     out["determinant_grouplike"] = (
         ok,
         "det x det minus the comultiplied determinant factors through"
         " det - 1 on each side and collapses to 1 in the quotient")
 
     eps = counit_images(quo)
-    bad = [name for name, e in rels.items()
-           if not substitute(e, eps, quo).is_zero()]
+    counit = letter_map(full, eps)
+    bad = [name for name, e in rels.items() if not counit(e).is_zero()]
     out["counit_respects_relations"] = (not bad, f"violations: {bad}" if bad
                                         else "counit kills all six relations")
 
-    ok = True
-    for g in GROUP_GENS:
-        dg = delta[g]
-        left = substitute(dg, {**{n + "1": eps[n] for n in GROUP_GENS},
-                               **{n + "2": quo.gen(n) for n in GROUP_GENS}}, quo)
-        right = substitute(dg, {**{n + "1": quo.gen(n) for n in GROUP_GENS},
-                                **{n + "2": eps[n] for n in GROUP_GENS}}, quo)
-        if left != quo.gen(g) or right != quo.gen(g):
-            ok = False
+    left = letter_map(t2, {**{n + "1": eps[n] for n in GROUP_GENS},
+                           **{n + "2": quo.gen(n) for n in GROUP_GENS}})
+    right = letter_map(t2, {**{n + "1": quo.gen(n) for n in GROUP_GENS},
+                            **{n + "2": eps[n] for n in GROUP_GENS}})
+    ok = all(left(delta[g]) == quo.gen(g) == right(delta[g]) for g in GROUP_GENS)
     out["counit_axiom"] = (ok, "counit is a two-sided identity for comultiplication")
 
     cube = tensor_cube(order, False)
     d12 = coproduct_images(cube, "1", "2")
     d23 = coproduct_images(cube, "2", "3")
-    ok = True
-    for g in GROUP_GENS:
-        dg = coproduct_images(t2)[g]
-        lhs = substitute(dg, {**{n + "1": d12[n] for n in GROUP_GENS},
-                              **{n + "2": cube.gen(n + "3") for n in GROUP_GENS}}, cube)
-        rhs = substitute(dg, {**{n + "1": cube.gen(n + "1") for n in GROUP_GENS},
-                              **{n + "2": d23[n] for n in GROUP_GENS}}, cube)
-        if lhs != rhs:
-            ok = False
+    lhs = letter_map(t2, {**{n + "1": d12[n] for n in GROUP_GENS},
+                          **{n + "2": cube.gen(n + "3") for n in GROUP_GENS}})
+    rhs = letter_map(t2, {**{n + "1": cube.gen(n + "1") for n in GROUP_GENS},
+                          **{n + "2": d23[n] for n in GROUP_GENS}})
+    ok = all(lhs(delta[g]) == rhs(delta[g]) for g in GROUP_GENS)
     out["coassociativity"] = (ok, "both iterated comultiplications agree")
 
     s_img = antipode_images(quo)
+    antipode = letter_map(quo, s_img, antihom=True)
     rels_q = relation_elements(quo)
-    bad = [name for name, e in rels_q.items()
-           if not substitute(e, s_img, quo, antihom=True).is_zero()]
+    bad = [name for name, e in rels_q.items() if not antipode(e).is_zero()]
     out["antipode_antihomomorphism"] = (not bad, f"violations: {bad}" if bad
                                         else "reversed substitution kills all relations")
 
@@ -668,7 +643,7 @@ def _plane_norm(j, m):
     return sqrt_fraction(Fraction(1, fact(j + m) * fact(j - m)))
 
 
-def plane_basis(j, m, order, pres=None, prefix=None):
+def plane_basis(j, m, order):
     """Weight basis element of the deformed plane at (j, m):
 
       xi^(j+m) (eta - h(j+m) xi)(eta - h(j+m-1) xi) ... (eta - h(2m+1) xi)
@@ -677,10 +652,8 @@ def plane_basis(j, m, order, pres=None, prefix=None):
     a second closed form.
     """
     j, m = HalfInt.of(j), HalfInt.of(m)
-    if pres is None:
-        pres = plane_algebra(order)
-    eta = pres.gen("eta") if prefix is None else prefix[0]
-    xi = pres.gen("xi") if prefix is None else prefix[1]
+    pres = plane_algebra(order)
+    eta, xi = pres.gen("eta"), pres.gen("xi")
     jp = (j + m).as_int()
     out = xi ** jp
     for arg in range(jp, (2 * m).as_int(), -1):
@@ -703,7 +676,7 @@ def plane_forms_check(j, order):
         for i in range((j - m).as_int()):
             second = second * (eta + xi.scale(HSeries.h_power(1, order, i)))
         second = (second * xi ** (j + m).as_int()).scale(_plane_norm(j, m))
-        if plane_basis(j, m, order, pres) != second:
+        if plane_basis(j, m, order) != second:
             return False, f"plane basis forms disagree at j={j}, m={m}"
     return True, f"both plane basis forms agree at j={j}"
 
@@ -711,59 +684,50 @@ def plane_forms_check(j, order):
 def dfunction(j, order, route="plane"):
     """Representation matrix of spin j: {(row weight, column weight): element}.
 
-    Transforming each weight-basis element by the primed coordinates and
-    re-expanding over the unprimed basis triangularly solves for the matrix
-    entries; the expansion must terminate with zero residue.  Two
-    independent routes (plane module or oscillator module) must agree.
+    Each weight-basis element f_k of a module algebra is mapped into the
+    mixed algebra twice: letter for letter, and through the primed
+    coordinates (r0', r1') = (r0 x + r1 v, r0 u + r1 y) of its row pair
+    (r0, r1).  Re-expanding the primed images over the unprimed ones
+    triangularly solves for the matrix entries; the expansion must terminate
+    with zero residue.  The two routes, plane module (r0, r1) = (xi, eta) or
+    oscillator module (a, abar), differ only in these inputs and must agree.
     """
     j = HalfInt.of(j)
     if route == "plane":
         pres = mixed_algebra("plane", order)
-        first, second = pres.gen("eta"), pres.gen("xi")
-        x, y, v, u = (pres.gen(g) for g in GROUP_GENS)
-        first_p = second * u + first * y      # eta' = xi u + eta y
-        second_p = second * x + first * v     # xi' = xi x + eta v
-        basis = {k: plane_basis(j, k, order, pres, (first, second)) for k in weights(j)}
-        transformed = {m: plane_basis(j, m, order, pres, (first_p, second_p))
-                       for m in weights(j)}
-        pivot_word = {k: (0,) * (j - k).as_int() + (1,) * (j + k).as_int()
-                      for k in weights(j)}
-        pivot_coeff = {k: _plane_norm(j, k) for k in weights(j)}
+        family = {k: plane_basis(j, k, order) for k in weights(j)}
+        rows = ("xi", "eta")
     elif route == "symplecton":
         pres = mixed_algebra("osc", order)
-        a, ab = pres.gen("a"), pres.gen("abar")
-        x, y, v, u = (pres.gen(g) for g in GROUP_GENS)
-        a_p = a * x + ab * v
-        ab_p = a * u + ab * y
-        basis = {k: osc_symplecton_poly(j, k, order).substitute(a, ab)
-                 for k in weights(j)}
-        transformed = {m: osc_symplecton_poly(j, m, order).substitute(a_p, ab_p)
-                       for m in weights(j)}
-        pivot_word = {k: (0,) * (j + k).as_int() + (1,) * (j - k).as_int()
-                      for k in weights(j)}
-        pivot_coeff = {k: symplecton_pivot(j, k) for k in weights(j)}
+        family = {k: osc_symplecton_poly(j, k, order) for k in weights(j)}
+        rows = ("a", "abar")
     else:
         raise ValueError(f"unknown route {route!r}")
+    # the module block comes first, so its letters keep their indices; a
+    # normal word has its module letters first, in ascending order
+    i0, i1 = (pres.index[g] for g in rows)
+    r0, r1 = pres.gen(rows[0]), pres.gen(rows[1])
+    x, y, v, u = (pres.gen(g) for g in GROUP_GENS)
+    inner = AlgebraMap({i0: r0, i1: r1})
+    outer = AlgebraMap({i0: r0 * x + r1 * v, i1: r0 * u + r1 * y})
+    top = {k: tuple(sorted((i0,) * (j + k).as_int() + (i1,) * (j - k).as_int()))
+           for k in weights(j)}
+    basis = {k: inner(f) for k, f in family.items()}
+    transformed = {m: outer(f) for m, f in family.items()}
+    pivot = {k: basis[k].terms[top[k]].invert_unit() for k in weights(j)}
 
     group = group_algebra(order, True)
-    n_mod = 2
+    lift = letter_map(group, {g: pres.gen(g) for g in GROUP_GENS})
     dmat = {}
     for m in weights(j):
         rest = transformed[m]
         for k in weights(j):
-            target = pivot_word[k]
-            collected = {}
-            for w, c in rest.terms.items():
-                if w[: len(target)] == target and all(i >= n_mod for i in w[len(target):]):
-                    if all(i < n_mod for i in w[: len(target)]):
-                        collected[w[len(target):]] = c
-            entry = NCElement(group,
-                              {tuple(i - n_mod for i in w): c
-                               for w, c in collected.items()})
-            entry = entry.scale(pivot_coeff[k].invert())
-            dmat[(k, m)] = entry
-            lift = substitute(entry, {g: pres.gen(g) for g in GROUP_GENS}, pres)
-            rest = rest - basis[k] * lift
+            n = len(top[k])
+            entry = NCElement(group, {tuple(i - 2 for i in w[n:]): c
+                                      for w, c in rest.terms.items()
+                                      if w[:n] == top[k] and all(i >= 2 for i in w[n:n + 1])})
+            dmat[(k, m)] = entry.scale(pivot[k])
+            rest = rest - basis[k] * lift(dmat[(k, m)])
         if not rest.is_zero():
             raise RuntimeError(f"matrix solve left a residue at spin {j}, column {m}")
     return dmat
@@ -780,21 +744,20 @@ def dfunction_coalgebra_check(j, order):
     dmat = dfunction(j, order)
     quo = group_algebra(order, True)
     t2 = tensor_square(order, True)
-    delta = coproduct_images(t2)
-    eps = counit_images(quo)
-    emb1 = {g: t2.gen(g + "1") for g in GROUP_GENS}
-    emb2 = {g: t2.gen(g + "2") for g in GROUP_GENS}
+    comul = letter_map(quo, coproduct_images(t2))
+    counit = letter_map(quo, counit_images(quo))
+    emb1 = letter_map(quo, {g: t2.gen(g + "1") for g in GROUP_GENS})
+    emb2 = letter_map(quo, {g: t2.gen(g + "2") for g in GROUP_GENS})
+    left = {key: emb1(e) for key, e in dmat.items()}
+    right = {key: emb2(e) for key, e in dmat.items()}
     for k in weights(j):
         for m in weights(j):
-            lhs = substitute(dmat[(k, m)], delta, t2)
             rhs = t2.zero()
             for t in weights(j):
-                rhs = rhs + substitute(dmat[(k, t)], emb1, t2) \
-                    * substitute(dmat[(t, m)], emb2, t2)
-            if lhs != rhs:
+                rhs = rhs + left[(k, t)] * right[(t, m)]
+            if comul(dmat[(k, m)]) != rhs:
                 return False, f"comultiplication fails at entry ({k},{m})"
-            e = substitute(dmat[(k, m)], eps, quo)
             want = quo.one() if k == m else quo.zero()
-            if e != want:
+            if counit(dmat[(k, m)]) != want:
                 return False, f"counit fails at entry ({k},{m})"
     return True, "entries form a matrix coalgebra"

@@ -13,8 +13,8 @@ normal forms, and the two-variable generating functions.
 
 from fractions import Fraction
 
-from .scalar import (HalfInt, HSeries, add_into, half_range, spins_up_to,
-                     sqrt_fraction, weights)
+from .scalar import (AlgebraMap, HalfInt, HSeries, add_into, half_range,
+                     spins_up_to, sqrt_fraction, weights)
 from .su2data import bracket_coeff, cgc, fact, triangle_ok
 from .reps import exp_sigma_entry
 from .weyl import (OscElement, WeylElement, ad_j0, ad_jminus, ad_jplus,
@@ -25,11 +25,11 @@ from .weyl import (OscElement, WeylElement, ad_j0, ad_jminus, ad_jplus,
 
 def symmetry_check(max_j, order=0):
     """Reflection a -> abar, abar -> -a sends P_j^m to (-1)^(j-m) P_j^(-m)."""
-    img_a = WeylElement.monomial(0, 1, order)
-    img_abar = -WeylElement.monomial(1, 0, order)
+    reflect = AlgebraMap({0: WeylElement.monomial(0, 1, order),
+                          1: -WeylElement.monomial(1, 0, order)})
     for j in spins_up_to(max_j, HalfInt(1)):
         for m in weights(j):
-            got = classical_symplecton(j, m, order).substitute(img_a, img_abar)
+            got = reflect(classical_symplecton(j, m, order))
             want = classical_symplecton(j, -m, order).scale(
                 Fraction(-1) ** ((j - m).as_int()))
             if got != want:
@@ -135,9 +135,10 @@ def osc_symplecton_poly(j, m, order, form="A"):
 
 def h_symplecton_forms_check(max_j, order):
     """Both deformed closed forms equal the twist-dressed classical family."""
+    osc = to_oscillator(order)
     for j in spins_up_to(max_j, HalfInt(1)):
         for m in weights(j):
-            ref = to_oscillator(h_symplecton(j, m, order))
+            ref = osc(h_symplecton(j, m, order))
             if osc_symplecton_poly(j, m, order, "A") != ref:
                 return False, f"form A differs at j={j}, m={m}"
             if osc_symplecton_poly(j, m, order, "B") != ref:
@@ -283,11 +284,13 @@ def twist_conjugation_check(jp_, order):
     """Conjugating the family by exp(m s) shifts Abar by 2hm A, and that
     substitution re-expands over the family with exp(m s) matrix elements."""
     jp_ = HalfInt.of(jp_)
+    A, Ab = OscElement.monomial(1, 0, order), OscElement.monomial(0, 1, order)
     for m in (HalfInt(1), HalfInt(-1), HalfInt(2), HalfInt(-3)):
         shift = HSeries.h_power(1, order, (2 * m).as_fraction())
+        shifted = AlgebraMap({0: A, 1: Ab + A.scale(shift)})
         for mp in weights(jp_):
             poly = osc_symplecton_poly(jp_, mp, order)
-            lhs = poly.substitute_abar(shift)
+            lhs = shifted(poly)
             conj = exp_m_sigma_osc(m.as_fraction(), order) * poly \
                 * exp_m_sigma_osc(-m.as_fraction(), order)
             if lhs != conj:
@@ -458,10 +461,11 @@ def generator_reconstruction_check(order):
     one = OscElement.one(order)
     dress = one - t1.scale(h1)
 
+    osc = to_oscillator(order)
     out = {}
-    out["j0"] = to_oscillator(j_zero(order)) == t0.scale(sqrt_fraction(Fraction(1, 2)))
-    out["jminus"] = to_oscillator(j_minus(order)) == (tm * dress).scale(Fraction(1, 2))
-    jplus = to_oscillator(j_plus(order))
+    out["j0"] = osc(j_zero(order)) == t0.scale(sqrt_fraction(Fraction(1, 2)))
+    out["jminus"] = osc(j_minus(order)) == (tm * dress).scale(Fraction(1, 2))
+    jplus = osc(j_plus(order))
     out["jplus_direct_dressing"] = jplus == (t1 * dress).scale(Fraction(-1, 2))
     out["jplus_inverse_dressing"] = \
         jplus == (t1 * exp_m_sigma_osc(-1, order)).scale(Fraction(-1, 2))

@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .scalar import (SCALARS, HalfInt, HSeries, SeriesCombination, add_into,
-                     as_series, normal_product, sqrt_fraction)
+from .scalar import (SCALARS, AlgebraMap, HalfInt, HSeries, SeriesCombination,
+                     add_into, as_series, normal_product, sqrt_fraction)
 from .su2data import fact
 
 
@@ -69,25 +69,9 @@ class _NormalPoly(SeriesCombination):
         return self._like(normal_product(self.terms, other.terms, self._reorder,
                                          self.order))
 
-    def substitute(self, img_a, img_abar):
-        """Apply the algebra map (first, second generator) -> (img_a, img_abar).
-
-        The images may lie in any algebra of series combinations; each power
-        of an image is built once.
-        """
-        out = img_a.constant(0)
-        powers_a, powers_abar = [img_a.constant(1)], [img_abar.constant(1)]
-        for (p, q), c in sorted(self.terms.items()):
-            while len(powers_a) <= p:
-                powers_a.append(powers_a[-1] * img_a)
-            while len(powers_abar) <= q:
-                powers_abar.append(powers_abar[-1] * img_abar)
-            out = out + (powers_a[p] * powers_abar[q]).scale(c)
-        return out
-
-    def truncate(self, new_order):
-        return type(self)({k: c.truncate(new_order) for k, c in self.terms.items()},
-                          new_order)
+    @staticmethod
+    def letters(key):
+        return (0,) * key[0] + (1,) * key[1]
 
     def max_degree(self):
         return max((p + q for p, q in self.terms), default=None)
@@ -172,11 +156,6 @@ class OscElement(_NormalPoly):
     def _str_names(self):
         return "A", "Abar"
 
-    def substitute_abar(self, shift):
-        """Apply the algebra map A -> A, Abar -> Abar + shift*A (shift a scalar series)."""
-        lin = OscElement({(0, 1): 1, (1, 0): shift}, self.order)
-        return self.substitute(OscElement.monomial(1, 0, self.order), lin)
-
 
 def j_plus(order):
     """Raising generator, -a^2/2."""
@@ -220,21 +199,21 @@ def exp_m_sigma_osc(m, order):
     return _binomial_in_square(OscElement, _scalar_of(m), -1, order)
 
 
-def to_oscillator(w):
-    """Rewrite a Weyl element in the dressed generators A, Abar.
+def to_oscillator(order):
+    """The map rewriting a Weyl element in the dressed generators A, Abar.
 
     The inverse dressing is a = A exp(-s/2), abar = Abar exp(s/2).
     """
-    order, half = w.order, Fraction(1, 2)
-    return w.substitute(OscElement.monomial(1, 0, order) * exp_m_sigma_osc(-half, order),
-                        OscElement.monomial(0, 1, order) * exp_m_sigma_osc(half, order))
+    half = Fraction(1, 2)
+    return AlgebraMap({0: OscElement.monomial(1, 0, order) * exp_m_sigma_osc(-half, order),
+                       1: OscElement.monomial(0, 1, order) * exp_m_sigma_osc(half, order)})
 
 
-def from_oscillator(o):
-    """Rewrite an oscillator element back in the plain Weyl generators."""
-    order, half = o.order, Fraction(1, 2)
-    return o.substitute(WeylElement.monomial(1, 0, order) * exp_m_sigma(half, order),
-                        WeylElement.monomial(0, 1, order) * exp_m_sigma(-half, order))
+def from_oscillator(order):
+    """The map rewriting an oscillator element back in the plain Weyl generators."""
+    half = Fraction(1, 2)
+    return AlgebraMap({0: WeylElement.monomial(1, 0, order) * exp_m_sigma(half, order),
+                       1: WeylElement.monomial(0, 1, order) * exp_m_sigma(-half, order)})
 
 
 def classical_symplecton(j, m, order, form="A"):

@@ -124,16 +124,17 @@ def test_09_explicit_low_spin_examples():
     # the same pair in deformed letters is the letter pair itself
     big_a = OscElement.monomial(1, 0, ORDER)
     big_ab = OscElement.monomial(0, 1, ORDER)
-    assert to_oscillator(h_symplecton(HALF, -HALF, ORDER)) == big_ab
-    assert to_oscillator(h_symplecton(HALF, HALF, ORDER)) == big_a
+    osc = to_oscillator(ORDER)
+    assert osc(h_symplecton(HALF, -HALF, ORDER)) == big_ab
+    assert osc(h_symplecton(HALF, HALF, ORDER)) == big_a
 
     # spin-1 triple in deformed letters
-    assert to_oscillator(h_symplecton(1, -1, ORDER)) \
+    assert osc(h_symplecton(1, -1, ORDER)) \
         == big_ab * big_ab + (big_ab * big_a).scale(h1)
     mid = (big_ab * big_a + big_a * big_ab - (big_a * big_a).scale(h1)) \
         .scale(sqrt_fraction(Fraction(1, 2)))
-    assert to_oscillator(h_symplecton(1, 0, ORDER)) == mid
-    assert to_oscillator(h_symplecton(1, 1, ORDER)) == big_a * big_a
+    assert osc(h_symplecton(1, 0, ORDER)) == mid
+    assert osc(h_symplecton(1, 1, ORDER)) == big_a * big_a
 
     # the dressed pair closes on the deformed oscillator relation,
     # computed entirely in undeformed letters
@@ -147,7 +148,7 @@ def test_09_explicit_low_spin_examples():
         assert ok, f"covariance of the {name} relation fails: {detail}"
 
     # the twist exponential in deformed letters is a polynomial
-    assert to_oscillator(exp_m_sigma(1, ORDER)) + (big_a * big_a).scale(h1) \
+    assert osc(exp_m_sigma(1, ORDER)) + (big_a * big_a).scale(h1) \
         == OscElement.one(ORDER)
 
 

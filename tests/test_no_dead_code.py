@@ -2,7 +2,9 @@
 
 A definition counts as used when its name occurs in src/uhsl2 as a name or
 an attribute anywhere but in its own `def` or `class` line.  Dunders are
-exempt; so are the identities that only the tests exercise.
+exempt; so are the identities that only the tests exercise.  The test goes
+by name alone, so it does not cover a method that shares its name with
+another definition: a caller of either counts for both.
 """
 
 import ast

@@ -13,12 +13,14 @@ from uhsl2.reps import HalfInt, universal_r_rep
 from uhsl2.weyl import OscElement
 from uhsl2.slh2 import (
     GROUP_GENS,
+    antipode_images,
     covariance_check,
     dfunction,
     dfunction_coalgebra_check,
     dfunction_routes_agree,
     exchange_matrix,
     group_algebra,
+    letter_map,
     osc_algebra,
     plane_basis,
     plane_forms_check,
@@ -117,23 +119,24 @@ def test_plane_forms_agree():
 
 
 def test_plane_form_mismatch_fails_the_routes_row(capsys, monkeypatch):
-    # a plane basis that is wrong when built on its own; dfunction passes
-    # the module coordinates as a prefix, so its matrices stay right
+    # a plane basis whose lowest member is doubled; dfunction maps the same
+    # basis into the mixed algebra, so the letter matrix row fails as well
     built = slh2.plane_basis
 
-    def wrong(j, m, order, pres=None, prefix=None):
-        e = built(j, m, order, pres, prefix)
-        return e.scale(2) if prefix is None and m == -j else e
+    def wrong(j, m, order):
+        e = built(j, m, order)
+        return e.scale(2) if m == -j else e
 
     monkeypatch.setattr(slh2, "plane_basis", wrong)
     code = main(["verify", "--suite", "dfunctions", "-H", "2", "--format", "json"])
     assert code == 1
     rows = json.loads(capsys.readouterr().out)["rows"]
-    failed = [(row["check"], row["params"]["j"], row["detail"])
+    failed = [(row["check"], row["params"].get("j"), row["detail"])
               for row in rows if not row["pass"]]
-    assert failed == [("plane_and_oscillator_routes_agree", j,
-                       f"plane basis forms disagree at j={j}, m=-{j}")
-                      for j in ("1/2", "1", "3/2")]
+    assert failed == [("fundamental_equals_letter_matrix", None, "")] + [
+        ("plane_and_oscillator_routes_agree", j,
+         f"plane basis forms disagree at j={j}, m=-{j}")
+        for j in ("1/2", "1", "3/2")]
 
 
 def test_dfunction_spin_half_is_matrix_of_letters():
@@ -180,7 +183,30 @@ def test_dfunction_routes_agree_at_spin_five_halves():
     assert dfunction_routes_agree(HalfInt(5), 8)
 
 
+def test_dfunction_coalgebra_at_spin_two():
+    ok, detail = dfunction_coalgebra_check(HalfInt(4), 8)
+    assert ok, detail
+
+
 def test_dfunction_coalgebra():
     for twice in (1, 2):
         ok, detail = dfunction_coalgebra_check(HalfInt(twice), ORDER)
         assert ok, f"spin {HalfInt(twice)}: {detail}"
+
+
+def test_antipode_inverts_the_representation_matrices():
+    # sum_t S(D_kt) D_tm = sum_t D_kt S(D_tm) = delta_km, with S applied as
+    # an antimap; applied as a map it fails from spin 1 on
+    quo = group_algebra(8, True)
+    antipode = letter_map(quo, antipode_images(quo), antihom=True)
+    for twice in (1, 2, 3):
+        d = dfunction(HalfInt(twice), 8)
+        s = {key: antipode(e) for key, e in d.items()}
+        weights = sorted({k for k, _ in d})
+        for k in weights:
+            for m in weights:
+                want = quo.one() if k == m else quo.zero()
+                left = sum((s[(k, t)] * d[(t, m)] for t in weights), quo.zero())
+                right = sum((d[(k, t)] * s[(t, m)] for t in weights), quo.zero())
+                assert left == want and right == want, (
+                    f"antipode identity fails at spin {HalfInt(twice)}, entry ({k},{m})")
