@@ -152,22 +152,26 @@ def widx(j, m):
 class Rep:
     """A representation given by its generator matrices and twist exponent."""
 
-    __slots__ = ("j0", "jp", "jm", "sigma", "dim", "order")
+    __slots__ = ("j0", "jp", "jm", "sigma", "dim", "order", "_exps")
 
     def __init__(self, j0, jp, jm, sigma, order):
         self.j0, self.jp, self.jm, self.sigma = j0, jp, jm, sigma
         self.dim = j0.nrows
         self.order = order
+        self._exps = {}
 
     def exp_sigma(self, alpha):
-        """exp(alpha * s) for a rational alpha."""
-        if isinstance(alpha, HalfInt):
-            alpha = alpha.as_fraction()
-        return self.sigma.scale(Fraction(alpha)).exp_nilpotent()
+        """exp(alpha * s) for a rational alpha, built once per alpha."""
+        alpha = alpha.as_fraction() if isinstance(alpha, HalfInt) else Fraction(alpha)
+        exp = self._exps.get(alpha)
+        if exp is None:
+            exp = self._exps[alpha] = self.sigma.scale(alpha).exp_nilpotent()
+        return exp
 
 
+@lru_cache(maxsize=None)
 def spin_rep(j, order):
-    """The spin-j representation with ascending weight basis."""
+    """The spin-j representation with ascending weight basis, built once."""
     j = HalfInt.of(j)
     n = _dim(j)
     j0 = Matrix(n, n, order, {(widx(j, m), widx(j, m)): Fraction((2 * m).as_int())
@@ -186,33 +190,17 @@ def spin_rep(j, order):
 
 def exp_sigma_entry(j, k, alpha, m, order):
     """Matrix element <j k| exp(alpha*s) |j m> as an HSeries."""
-    return exp_sigma_matrix(j, alpha, order).get(widx(j, k), widx(j, m))
-
-
-@lru_cache(maxsize=None)
-def _cached_spin_rep(jt, order):
-    return spin_rep(HalfInt(jt), order)
-
-
-@lru_cache(maxsize=None)
-def _cached_exp_sigma(jt, alpha_num, alpha_den, order):
-    rep = _cached_spin_rep(jt, order)
-    return rep.exp_sigma(Fraction(alpha_num, alpha_den))
-
-
-def exp_sigma_matrix(j, alpha, order):
-    """exp(alpha*s) on the spin-j module, cached."""
-    alpha = HalfInt.of(alpha).as_fraction() if isinstance(alpha, HalfInt) else Fraction(alpha)
-    return _cached_exp_sigma(HalfInt.of(j).twice, alpha.numerator, alpha.denominator, order)
+    return spin_rep(j, order).exp_sigma(alpha).get(widx(j, k), widx(j, m))
 
 
 def twist_matrix_oracle(j1, j2, order):
     """F = exp(-J0 (x) s / 2) built block by block from exp(-m1*s)."""
     j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
     n1, n2 = _dim(j1), _dim(j2)
+    rep = spin_rep(j2, order)
     out = {}
     for m1 in weights(j1):
-        block = exp_sigma_matrix(j2, -m1.as_fraction(), order)
+        block = rep.exp_sigma(-m1)
         i1 = widx(j1, m1)
         for (k2, m2), v in block.terms.items():
             out[(i1 * n2 + k2, i1 * n2 + m2)] = v
@@ -287,22 +275,11 @@ def twist_symmetry_check(j1, j2, order):
         (last - c, last - r): v for (r, c), v in f.terms.items()}
 
 
-def second_leg_twist(j1, j2, order):
-    """F21 = exp(-s (x) J0 / 2), the twist with the legs swapped."""
-    j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
-    n1, n2 = _dim(j1), _dim(j2)
-    out = {}
-    for m2 in weights(j2):
-        block = exp_sigma_matrix(j1, -m2.as_fraction(), order)
-        i2 = widx(j2, m2)
-        for (k1, m1), v in block.terms.items():
-            out[(k1 * n2 + i2, m1 * n2 + i2)] = v
-    return Matrix(n1 * n2, n1 * n2, order, out)
-
-
 def universal_r_rep(j1, j2, order):
-    """R = F21 F^(-1) on the spin-(j1, j2) module."""
-    return second_leg_twist(j1, j2, order) * twist_inverse(j1, j2, order)
+    """R = F21 F^(-1) on the spin-(j1, j2) module; F21 is F of (j2, j1), legs swapped."""
+    n1, n2 = _dim(HalfInt.of(j1)), _dim(HalfInt.of(j2))
+    f21 = flip_tensor(twist_matrix_oracle(j2, j1, order), n2, n1)
+    return f21 * twist_inverse(j1, j2, order)
 
 
 def flip_tensor(mat, n1, n2):
@@ -367,16 +344,12 @@ _DELTA = {
 
 
 def _atom_matrix(rep, atom):
-    if atom == "J0":
-        return rep.j0
-    if atom == "Jp":
-        return rep.jp
-    if atom == "Jm":
-        return rep.jm
+    if atom in ("J0", "Jp", "Jm"):
+        return getattr(rep, atom.lower())
     kind, alpha = atom
     if kind != "E":
         raise ValueError(f"unknown atom {atom!r}")
-    return rep.sigma.scale(Fraction(alpha)).exp_nilpotent()
+    return rep.exp_sigma(alpha)
 
 
 def _word_matrix(rep, atoms):
@@ -388,11 +361,11 @@ def _word_matrix(rep, atoms):
 
 def _antipode_atom(rep, atom):
     """Closed-form antipode of a single atom, as a matrix on rep."""
-    em1 = _atom_matrix(rep, ("E", -1))
+    em1 = rep.exp_sigma(-1)
     if atom == "J0":
         return -(rep.j0 * em1)
     if atom == "Jp":
-        return -(rep.jp * _atom_matrix(rep, ("E", 1)))
+        return -(rep.jp * rep.exp_sigma(1))
     if atom == "Jm":
         h1 = HSeries.h_power(1, rep.order)
         ident = Matrix.identity(rep.dim, rep.order)
@@ -402,7 +375,7 @@ def _antipode_atom(rep, atom):
         out = out + (rep.j0 * (em1 - ident) * em1).scale(h1)
         return out
     kind, alpha = atom
-    return _atom_matrix(rep, ("E", -alpha))
+    return rep.exp_sigma(-alpha)
 
 
 def _antipode_word(rep, atoms):
@@ -447,9 +420,9 @@ def twisted_hopf_suite(j1, j2, j3, order):
     Returns {check name: bool}.  Coassociativity is checked on the triple
     (j1, j2, j3); the other checks run on (j1, j2) and on j1 alone.
     """
-    r1 = _cached_spin_rep(HalfInt.of(j1).twice, order)
-    r2 = _cached_spin_rep(HalfInt.of(j2).twice, order)
-    r3 = _cached_spin_rep(HalfInt.of(j3).twice, order)
+    r1 = spin_rep(j1, order)
+    r2 = spin_rep(j2, order)
+    r3 = spin_rep(j3, order)
     out = {}
 
     t12 = twisted_tensor(r1, r2)
@@ -493,11 +466,9 @@ def twisted_hopf_suite(j1, j2, j3, order):
 
     # S(s) = -s: the anti-automorphism sends 1 - 2h Jp to 1 + 2h Jp exp(s),
     # whose log must come out as +s so that S(s) = -log(...) = -s
-    srep = r1
-    es = _atom_matrix(srep, ("E", 1))
+    dressed = (r1.jp * r1.exp_sigma(1)).scale(HSeries.h_power(1, order, 2))
     out["antipode_of_sigma"] = \
-        (Matrix.identity(srep.dim, order)
-         + (srep.jp * es).scale(HSeries.h_power(1, order, 2))).log_unipotent() == srep.sigma
+        (Matrix.identity(r1.dim, order) + dressed).log_unipotent() == r1.sigma
 
     return out
 
@@ -514,7 +485,7 @@ def ohn_suite(j, order):
     X carries an explicit 1/h, so the first two relations are compared after
     exact division by h, at truncation order reduced by one.
     """
-    rep = _cached_spin_rep(HalfInt.of(j).twice, order)
+    rep = spin_rep(j, order)
     half = Fraction(1, 2)
     emh = rep.exp_sigma(-half)
     eph = rep.exp_sigma(half)
@@ -543,9 +514,9 @@ def cocycle_check(j1, j2, j3, order):
     F12 ((Delta (x) id) F) = F23 ((id (x) Delta) F) with the undeformed
     coproduct Delta.
     """
-    r1 = _cached_spin_rep(HalfInt.of(j1).twice, order)
-    r2 = _cached_spin_rep(HalfInt.of(j2).twice, order)
-    r3 = _cached_spin_rep(HalfInt.of(j3).twice, order)
+    r1 = spin_rep(j1, order)
+    r2 = spin_rep(j2, order)
+    r3 = spin_rep(j3, order)
     i1 = Matrix.identity(r1.dim, order)
     i3 = Matrix.identity(r3.dim, order)
     half = HSeries.constant(Fraction(-1, 2), order)
@@ -596,8 +567,8 @@ def coupled_basis_suite(j1, j2, order):
     action on B-columns has the undeformed matrix elements.
     """
     j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
-    r1 = _cached_spin_rep(j1.twice, order)
-    r2 = _cached_spin_rep(j2.twice, order)
+    r1 = spin_rep(j1, order)
+    r2 = spin_rep(j2, order)
     n = r1.dim * r2.dim
     out = {}
     c = cg_matrix(j1, j2, order)
@@ -609,7 +580,7 @@ def coupled_basis_suite(j1, j2, order):
 
     # the coupled basis runs over the spins k ascending, weights ascending
     # within each, so the expected matrices are direct sums of spin-k blocks
-    blocks = [_cached_spin_rep(k.twice, order)
+    blocks = [spin_rep(k, order)
               for k in half_range(HalfInt(abs(j1.twice - j2.twice)), j1 + j2)]
     t12 = twisted_tensor(r1, r2)
     for gen in ("J0", "Jp", "Jm"):

@@ -220,7 +220,7 @@ def product_formula_component(j, m, jp_, mp, k, mu, order):
     np_ = mu - m
     if abs(np_.twice) > jp_.twice:
         return HSeries.zero(order)
-    entry = exp_sigma_entry(jp_, np_, m.as_fraction(), mp, order)
+    entry = exp_sigma_entry(jp_, np_, m, mp, order)
     c = cgc(jp_, j, k, np_, m)
     return entry.scale(bracket_coeff(k, j, jp_) * c)
 
@@ -233,7 +233,7 @@ def _intermediate_holds(jp_, m, mp, lhs, dressed, order):
     """
     rhs = WeylElement.zero(order)
     for np_ in half_range(mp, jp_):
-        entry = exp_sigma_entry(jp_, np_, m.as_fraction(), mp, order)
+        entry = exp_sigma_entry(jp_, np_, m, mp, order)
         if entry.is_zero():
             continue
         rhs = rhs + dressed[(m, np_)].scale(entry)
@@ -271,7 +271,7 @@ def _collapse(j, jp_, products, dressed, order):
         for lp in weights(jp_):
             lhs = WeylElement.zero(order)
             for mp in half_range(lp, jp_):
-                entry = exp_sigma_entry(jp_, mp, -l.as_fraction(), lp, order)
+                entry = exp_sigma_entry(jp_, mp, -l, lp, order)
                 if entry.is_zero():
                     continue
                 lhs = lhs + products[(l, mp)].scale(entry)
@@ -297,7 +297,7 @@ def twist_conjugation_check(jp_, order):
                 return False, f"substitution differs from conjugation at m={m}, m'={mp}"
             rhs = OscElement.zero(order)
             for np_ in half_range(mp, jp_):
-                entry = exp_sigma_entry(jp_, np_, m.as_fraction(), mp, order)
+                entry = exp_sigma_entry(jp_, np_, m, mp, order)
                 if entry.is_zero():
                     continue
                 rhs = rhs + osc_symplecton_poly(jp_, np_, order).scale(entry)
@@ -371,7 +371,7 @@ def _pair_pairing(j, jp_, expansions, order):
             if const is None:
                 expect = zero
             else:
-                expect = exp_sigma_entry(j, m, -m.as_fraction(), mp, order).scale(const)
+                expect = exp_sigma_entry(j, m, -m, mp, order).scale(const)
             if scalar_part(m, mp) != expect:
                 return const, None, f"pairing fails at ({j},{m};{jp_},{mp})"
     return const, None, None

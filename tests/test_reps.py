@@ -4,13 +4,11 @@ import random
 from fractions import Fraction
 
 from uhsl2.scalar import HalfInt, HSeries, weights
-from uhsl2.reps import (Matrix, cg_matrix, cocycle_check, coupled_basis_suite,
-                        exp_sigma_entry, exp_sigma_matrix, flip_tensor,
-                        ohn_suite, qybe_check, r_triangularity_check,
-                        second_leg_twist, spin_rep, twist_inverse,
+from uhsl2.reps import (Matrix, cocycle_check, coupled_basis_suite,
+                        exp_sigma_entry, flip_tensor, ohn_suite, qybe_check,
+                        r_triangularity_check, spin_rep, twist_inverse,
                         twist_matrix_formula, twist_matrix_oracle, twist_symmetry_check,
-                        twisted_hopf_suite, twisted_tensor, universal_r_rep,
-                        widx, _cached_spin_rep)
+                        twisted_hopf_suite, universal_r_rep, widx)
 
 H12 = HalfInt(1)
 H32 = HalfInt(3)
@@ -46,8 +44,8 @@ def test_exp_sigma_entries_spin_half():
 
 def test_twist_oracle_matches_direct_exponential():
     for j1, j2 in ((H12, H12), (HalfInt(2), H12), (H12, H32)):
-        r1 = _cached_spin_rep(j1.twice, ORD)
-        r2 = _cached_spin_rep(j2.twice, ORD)
+        r1 = spin_rep(j1, ORD)
+        r2 = spin_rep(j2, ORD)
         arg = r1.j0.kron(r2.sigma).scale(HSeries.constant(Fraction(-1, 2), ORD))
         assert twist_matrix_oracle(j1, j2, ORD) == arg.exp_nilpotent()
 
@@ -185,3 +183,32 @@ def test_twist_symmetry_fails_on_a_perturbed_oracle(monkeypatch):
     assert twist_symmetry_check(H12, HalfInt(2), ORD)
     monkeypatch.setattr(reps, "twist_matrix_oracle", perturbed)
     assert not twist_symmetry_check(H12, HalfInt(2), ORD)
+
+
+def test_universal_r_at_larger_spins():
+    # R = exp(-s (x) J0 / 2) exp(J0 (x) s / 2), built from the Kronecker
+    # products directly rather than from twist blocks, flips or inverses
+    order = 8
+    for j1, j2 in ((1, H32), (2, H12), (H32, H32)):
+        r1, r2 = spin_rep(j1, order), spin_rep(j2, order)
+        half = HSeries.constant(Fraction(1, 2), order)
+        f21 = r1.sigma.kron(r2.j0).scale(-half).exp_nilpotent()
+        finv = r1.j0.kron(r2.sigma).scale(half).exp_nilpotent()
+        assert universal_r_rep(j1, j2, order) == f21 * finv, f"R differs at ({j1},{j2})"
+
+
+def test_each_exponential_is_built_once(monkeypatch):
+    built = []
+    exp_nilpotent = Matrix.exp_nilpotent
+
+    def recording(self):
+        built.append(self)
+        return exp_nilpotent(self)
+
+    monkeypatch.setattr(Matrix, "exp_nilpotent", recording)
+    spin_rep.cache_clear()
+    twisted_hopf_suite(1, H12, H12, 8)
+    ohn_suite(1, 8)
+    assert built
+    repeats = [i for i, arg in enumerate(built) if arg in built[:i]]
+    assert not repeats, f"{len(repeats)} of {len(built)} exponentials were built again"

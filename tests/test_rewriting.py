@@ -1,5 +1,5 @@
-"""The rewriting engine against a naive reducer, its linearity, and the
-message of its step limit.
+"""The rewriting engine against a naive reducer, its linearity, the
+message of its step limit, and the confluence of every presentation.
 
 The reference reducer below is the plain leftmost-pair stack: it pops one
 (word, coefficient) at a time, rewrites the leftmost pair that has a rule and
@@ -13,7 +13,9 @@ import pytest
 
 from uhsl2 import slh2
 from uhsl2.scalar import HSeries
-from uhsl2.slh2 import group_algebra, mixed_algebra, tensor_square
+from uhsl2.slh2 import (GROUP_GENS, free_group_words, group_algebra, mixed_algebra,
+                        osc_algebra, plane_algebra, slh2_hopf_suite, tensor_cube,
+                        tensor_square)
 
 ORDER = 4
 
@@ -129,3 +131,53 @@ def test_step_limit_names_presentation_word_and_count(monkeypatch):
     monkeypatch.setattr(slh2, "_MAX_REWRITE_STEPS", 5)
     with pytest.raises(RuntimeError, match=r"limit of 5 rewrite steps at the word [xyuv^*0-9]+$"):
         pres.normal_form(terms)
+
+
+BUILDERS = {
+    "sl2": lambda order: group_algebra(order, True),
+    "gl2": lambda order: group_algebra(order, False),
+    "plane": plane_algebra,
+    "osc": osc_algebra,
+    "plane-with-group": lambda order: mixed_algebra("plane", order),
+    "osc-with-group": lambda order: mixed_algebra("osc", order),
+    "tensor-square": lambda order: tensor_square(order, True),
+    "tensor-square-gl2": lambda order: tensor_square(order, False),
+    "tensor-cube": tensor_cube,
+    "free": free_group_words,
+}
+
+
+@pytest.mark.parametrize("order", (0, 1, 8))
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_every_presentation_is_confluent(name, order):
+    BUILDERS[name](order).check_confluence()
+
+
+def broken_group_algebra(order, quotient):
+    """The group presentation with the sign of the v^2 term flipped in the
+    rule that rewrites the product of v and u."""
+    rules = slh2._group_rules(order, quotient)
+    _, _, v, u = range(4)
+    pair = (v, u) if quotient else (u, v)
+    rules[pair] = {w: -c if w == (v, v) else c for w, c in rules[pair].items()}
+    return slh2.Presentation("broken-group", GROUP_GENS, rules, order)
+
+
+@pytest.mark.parametrize("quotient", (True, False))
+def test_perturbed_group_rules_are_not_confluent(quotient):
+    with pytest.raises(ValueError, match="broken-group is not confluent on the overlap u y x"):
+        broken_group_algebra(ORDER, quotient).check_confluence()
+
+
+@pytest.mark.parametrize("quotient", (True, False))
+def test_hopf_suite_reports_a_non_confluent_presentation(quotient, monkeypatch):
+    real = slh2.group_algebra
+
+    def patched(order, q=True):
+        return broken_group_algebra(order, q) if q == quotient else real(order, q)
+
+    monkeypatch.setattr(slh2, "group_algebra", patched)
+    rows = slh2_hopf_suite(ORDER)
+    assert list(rows) == ["confluent_rewriting"]
+    ok, detail = rows["confluent_rewriting"]
+    assert not ok and "not confluent" in detail
