@@ -12,10 +12,11 @@ terminates because its argument is nilpotent.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .scalar import (SCALARS, HalfInt, HSeries, SeriesCombination, add_into,
-                     half_range, sqrt_ratio, weights)
+from .scalar import (SCALARS, HalfInt, HSeries, SeriesCombination, _numerator_product,
+                     _over_one_denominator, _series_of_sums, add_into, half_range,
+                     sqrt_ratio, weights)
 from .su2data import cgc
 from .weyl import ladder_coeff
 
@@ -57,14 +58,18 @@ class Matrix(SeriesCombination):
         if self.order != other.order or self.ncols != other.nrows:
             raise ValueError(f"cannot multiply a {self.space} by a {other.space} matrix"
                              " (rows, columns, order)")
+        # each entry sums integer numerator products, then becomes one series
+        nums1, den1 = _over_one_denominator(self.terms)
+        nums2, den2 = _over_one_denominator(other.terms)
         by_row = {}
-        for (i, k), v in other.terms.items():
-            by_row.setdefault(i, []).append((k, v))
-        out = {}
-        for (i, k), v in self.terms.items():
-            for j, w in by_row.get(k, ()):
-                add_into(out, (i, j), v * w)
-        return self._like(out, (self.nrows, other.ncols, self.order))
+        for (k, j), b in nums2:
+            by_row.setdefault(k, []).append((j, b))
+        sums = {}
+        for (i, k), a in nums1:
+            for j, b in by_row.get(k, ()):
+                _numerator_product(a, b, self.order, sums.setdefault((i, j), {}))
+        return self._like(_series_of_sums(sums, den1 * den2, self.order),
+                          (self.nrows, other.ncols, self.order))
 
     def kron(self, other):
         if self.order != other.order:
@@ -91,36 +96,34 @@ class Matrix(SeriesCombination):
         return Matrix(self.nrows, self.ncols, self.order - k,
                       {key: v.divide_exact(k) for key, v in self.terms.items()})
 
-    def _nilpotent_series(self, coeff):
-        """sum_k coeff(k) N^k for this matrix N, stopping once N^k vanishes."""
+    def nilpotent_powers(self):
+        """[I, N, N^2, ...] for this matrix N, up to its last nonzero power."""
         n, order = self.nrows, self.order
         if n != self.ncols:
             raise ValueError(f"power series of a non-square {n}x{self.ncols} matrix")
-        total = Matrix.zero(n, n, order)
-        power = Matrix.identity(n, order)
-        for k in range(n * (order + 2) + 2):
-            if k:
-                power = power * self
-                if power.is_zero():
-                    return total
-            c = coeff(k)
-            if c:
-                total = total + power.scale(c)
+        powers = [Matrix.identity(n, order)]
+        power = self
+        for _ in range(n * (order + 2) + 1):
+            if power.is_zero():
+                return powers
+            powers.append(power)
+            power = power * self
         raise ValueError(f"{n}x{n} matrix is not nilpotent at order {order}")
 
     def exp_nilpotent(self):
         """exp of a nilpotent matrix; raises if powers fail to vanish."""
-        return self._nilpotent_series(lambda k: Fraction(1, factorial(k)))
+        return power_sum(self.nilpotent_powers(), lambda k: Fraction(1, factorial(k)))
 
     def log_unipotent(self):
         """log of I + N with N nilpotent."""
         n = self - Matrix.identity(self.nrows, self.order)
-        return n._nilpotent_series(lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
+        return power_sum(n.nilpotent_powers(),
+                         lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
     def inverse_unipotent(self):
         """Exact inverse of I + N with N nilpotent (Neumann series)."""
         n = self - Matrix.identity(self.nrows, self.order)
-        return n._nilpotent_series(lambda k: (-1) ** k)
+        return power_sum(n.nilpotent_powers(), lambda k: (-1) ** k)
 
     def __str__(self):
         rows = []
@@ -140,6 +143,12 @@ class Matrix(SeriesCombination):
                             for (i, j), v in sorted(self.terms.items())]}
 
 
+def power_sum(powers, coeff):
+    """sum_k coeff(k) N^k from the table [I, N, N^2, ...] of nilpotent_powers."""
+    terms = (power.scale(c) for k, power in enumerate(powers) if (c := coeff(k)))
+    return sum(terms, Matrix.zero(*powers[0].space))
+
+
 def _dim(j):
     return HalfInt.of(j).twice + 1
 
@@ -152,20 +161,25 @@ def widx(j, m):
 class Rep:
     """A representation given by its generator matrices and twist exponent."""
 
-    __slots__ = ("j0", "jp", "jm", "sigma", "dim", "order", "_exps")
+    __slots__ = ("j0", "jp", "jm", "sigma", "dim", "order", "_powers", "_exps")
 
     def __init__(self, j0, jp, jm, sigma, order):
         self.j0, self.jp, self.jm, self.sigma = j0, jp, jm, sigma
         self.dim = j0.nrows
         self.order = order
+        self._powers = None
         self._exps = {}
 
     def exp_sigma(self, alpha):
-        """exp(alpha * s) for a rational alpha, built once per alpha."""
+        """exp(alpha * s) = sum_k alpha^k/k! s^k for a rational alpha, built
+        once per alpha from the one table of powers of s."""
         alpha = alpha.as_fraction() if isinstance(alpha, HalfInt) else Fraction(alpha)
         exp = self._exps.get(alpha)
         if exp is None:
-            exp = self._exps[alpha] = self.sigma.scale(alpha).exp_nilpotent()
+            if self._powers is None:
+                self._powers = self.sigma.nilpotent_powers()
+            exp = self._exps[alpha] = power_sum(self._powers,
+                                                lambda k: alpha ** k / factorial(k))
         return exp
 
 
@@ -183,8 +197,8 @@ def spin_rep(j, order):
                               HSeries.constant(ladder_coeff(j, m, -1), order)
                               for m in weights(j) if m > -j})
     # s = -log(1 - 2h Jp) = sum_k (2h Jp)^k / k, a finite sum by nilpotency
-    sigma = jp.scale(HSeries.h_power(1, order, 2))._nilpotent_series(
-        lambda k: Fraction(1, k) if k else 0)
+    sigma = power_sum(jp.scale(HSeries.h_power(1, order, 2)).nilpotent_powers(),
+                      lambda k: Fraction(1, k) if k else 0)
     return Rep(j0, jp, jm, sigma, order)
 
 
@@ -209,13 +223,7 @@ def twist_matrix_oracle(j1, j2, order):
 
 def _dfact(n):
     """Double factorial with n!! = 1 for n <= 0."""
-    if n <= 0:
-        return 1
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return prod(range(n, 0, -2))
 
 
 def twist_matrix_formula(j1, j2, order):
@@ -266,13 +274,13 @@ def twist_symmetry_check(j1, j2, order):
     """Negating all weight labels in F gives the inverse twist, entry by entry.
 
     widx(j, -m) = 2j - widx(j, m), so negating every label sends the flat
-    index i to N - 1 - i; terms never holds a zero, so comparing the dicts
-    is exact.
+    index i to N - 1 - i.  The reversed matrix is checked as a right inverse,
+    F R(F) = 1; over a commutative ring that makes it the inverse of F.
     """
     f = twist_matrix_oracle(j1, j2, order)
     last = f.nrows - 1
-    return f.inverse_unipotent().terms == {
-        (last - c, last - r): v for (r, c), v in f.terms.items()}
+    reversed_f = f._like({(last - c, last - r): v for (r, c), v in f.terms.items()})
+    return f * reversed_f == Matrix.identity(f.nrows, order)
 
 
 def universal_r_rep(j1, j2, order):

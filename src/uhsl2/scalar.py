@@ -206,9 +206,9 @@ def _radical_terms(value):
     return value.terms if isinstance(value, RadicalSum) else {1: value}
 
 
-def _numerator_product(num1, num2, order):
-    """The sparse product of two numerator dicts {(k, r): int}, up to h^order."""
-    out = {}
+def _numerator_product(num1, num2, order, out):
+    """Add the sparse product of two numerator dicts {(k, r): int}, up to
+    h^order, into the numerator dict out, and return out."""
     for (i, r1), a in num1.items():
         for (j, r2), b in num2.items():
             if i + j > order:
@@ -367,7 +367,7 @@ class HSeries:
         for a, b in ((self, other), (other, self)):
             if len(a.num) == 1 and (0, 1) in a.num:
                 return b._times(a.num[(0, 1)], a.den)
-        return HSeries._make(_numerator_product(self.num, other.num, self.order),
+        return HSeries._make(_numerator_product(self.num, other.num, self.order, {}),
                              self.den * other.den, self.order)
 
     __rmul__ = __mul__
@@ -476,7 +476,7 @@ def normal_product(terms1, terms2, reorder, order):
     acc = {}
     for (p1, q1), a in nums1:
         for (p2, q2), b in nums2:
-            num = _numerator_product(a, b, order)
+            num = _numerator_product(a, b, order, {})
             if not num:
                 continue
             for dp, dq, t, e in reorder(q1, p2):
@@ -487,8 +487,12 @@ def normal_product(terms1, terms2, reorder, order):
                     if k + t <= order:
                         key = (k + t, r)
                         sums[key] = sums.get(key, 0) + c * e
-    out = {key: HSeries._make(num, den1 * den2, order) for key, num in acc.items()}
-    return {key: c for key, c in out.items() if c.num}
+    return _series_of_sums(acc, den1 * den2, order)
+
+
+def _series_of_sums(sums, den, order):
+    """{key: HSeries} from {key: numerator dict} over den, dropping the zeros."""
+    return {key: c for key, num in sums.items() if (c := HSeries._make(num, den, order)).num}
 
 
 def as_series(c, order):

@@ -176,12 +176,13 @@ def decompose_twisted(w):
     rest = w
     out = {}
     for t in range(order + 1):
-        layer = WeylElement({key: HSeries.constant(c.coeff(t), 0)
+        layer = WeylElement({key: HSeries._make({(0, r): a for (i, r), a in c.num.items()
+                                                 if i == t}, c.den, 0)
                              for key, c in rest.terms.items()}, 0)
         if layer.is_zero():
             continue
         for (k, mu), c in decompose_symplecton_basis(layer).items():
-            coeff = HSeries.h_power(t, order, c.at_h0())
+            coeff = HSeries._new({(t, r): a for (_, r), a in c.num.items()}, c.den, order)
             add_into(out, (k, mu), coeff)
             rest = rest - h_symplecton(k, mu, order).scale(coeff)
     if not rest.is_zero():

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from uhsl2.scalar import HalfInt, HSeries, weights
+import pytest
+
+from uhsl2.scalar import HalfInt, HSeries, RadicalSum, sqrt_fraction, weights
 from uhsl2.reps import (Matrix, cocycle_check, coupled_basis_suite,
                         exp_sigma_entry, flip_tensor, ohn_suite, qybe_check,
                         r_triangularity_check, spin_rep, twist_inverse,
@@ -175,14 +177,15 @@ def test_twist_symmetry_fails_on_a_perturbed_oracle(monkeypatch):
     from uhsl2 import reps
 
     oracle = reps.twist_matrix_oracle
-
-    def perturbed(j1, j2, order):
-        f = oracle(j1, j2, order)
-        return f + Matrix(f.nrows, f.ncols, order, {(1, 0): HSeries.h_power(2, order)})
-
     assert twist_symmetry_check(H12, HalfInt(2), ORD)
-    monkeypatch.setattr(reps, "twist_matrix_oracle", perturbed)
-    assert not twist_symmetry_check(H12, HalfInt(2), ORD)
+    # (1, 0) lies in the first weight block of F, (5, 0) off the block diagonal
+    for pos in ((1, 0), (5, 0)):
+        def perturbed(j1, j2, order, pos=pos):
+            f = oracle(j1, j2, order)
+            return f + Matrix(f.nrows, f.ncols, order, {pos: HSeries.h_power(2, order)})
+
+        monkeypatch.setattr(reps, "twist_matrix_oracle", perturbed)
+        assert not twist_symmetry_check(H12, HalfInt(2), ORD), f"perturbed at {pos}"
 
 
 def test_universal_r_at_larger_spins():
@@ -198,17 +201,119 @@ def test_universal_r_at_larger_spins():
 
 
 def test_each_exponential_is_built_once(monkeypatch):
-    built = []
-    exp_nilpotent = Matrix.exp_nilpotent
+    # every power table and every power sum of the run is recorded: the powers
+    # of each s are multiplied once per representation, and each exp(alpha*s)
+    # is one sum over that representation's table, once per alpha
+    from uhsl2 import reps
 
-    def recording(self):
-        built.append(self)
-        return exp_nilpotent(self)
+    powered, sums = [], []
+    nilpotent_powers, power_sum = Matrix.nilpotent_powers, reps.power_sum
 
-    monkeypatch.setattr(Matrix, "exp_nilpotent", recording)
+    def recording_powers(self):
+        powered.append(self)
+        return nilpotent_powers(self)
+
+    def recording_sum(powers, coeff):
+        sums.append((powers, [coeff(k) for k in range(len(powers))]))
+        return power_sum(powers, coeff)
+
+    monkeypatch.setattr(Matrix, "nilpotent_powers", recording_powers)
+    monkeypatch.setattr(reps, "power_sum", recording_sum)
     spin_rep.cache_clear()
     twisted_hopf_suite(1, H12, H12, 8)
     ohn_suite(1, 8)
-    assert built
-    repeats = [i for i, arg in enumerate(built) if arg in built[:i]]
-    assert not repeats, f"{len(repeats)} of {len(built)} exponentials were built again"
+    # by identity: at spin 1/2, s equals the 2h Jp that spin_rep builds it from
+    repeats = [i for i, arg in enumerate(powered) if any(a is arg for a in powered[:i])]
+    assert not repeats, f"{len(repeats)} of {len(powered)} power tables were built again"
+    repeats = [i for i, (table, coeffs) in enumerate(sums)
+               if any(t is table and c == coeffs for t, c in sums[:i])]
+    assert not repeats, f"{len(repeats)} of {len(sums)} power sums were built again"
+    # the tables of s are shared: the spin-1 table serves -1, -1/2, 1/2, 1 and 2
+    per_table = [sum(t is table for t, _ in sums) for table, _ in sums]
+    assert max(per_table) >= 5
+
+
+def _series_product(a, b):
+    """a*b by convolving the RadicalSum coefficient lists, cut at the order."""
+    ca, cb = a.coeffs, b.coeffs
+    out = [RadicalSum.zero() for _ in ca]
+    for p, x in enumerate(ca):
+        for q, y in enumerate(cb[:a.order + 1 - p]):
+            out[p + q] = out[p + q] + x * y
+    return HSeries(out, a.order)
+
+
+def _oracle_product(x, y):
+    """The entries of x*y, each the sum over k of x[i, k]*y[k, j]; no zeros."""
+    out = {}
+    for i in range(x.nrows):
+        for j in range(y.ncols):
+            total = HSeries.zero(x.order)
+            for k in range(x.ncols):
+                total = total + _series_product(x.get(i, k), y.get(k, j))
+            if not total.is_zero():
+                out[(i, j)] = total
+    return out
+
+
+def _random_series(rng, order):
+    """A sum of up to three terms q*sqrt(r)*h^k with mixed denominators."""
+    out = HSeries.zero(order)
+    for _ in range(rng.randint(1, 3)):
+        q = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 5, 6)))
+        out = out + HSeries.h_power(rng.randint(0, order), order,
+                                    q * sqrt_fraction(rng.choice((1, 2, 3, 5, 6))))
+    return out
+
+
+def _random_matrix(rng, nrows, ncols, order):
+    """About half of the entries filled, so that rows and columns may be empty."""
+    return Matrix(nrows, ncols, order, {(i, j): _random_series(rng, order)
+                                        for i in range(nrows) for j in range(ncols)
+                                        if rng.random() < 0.5})
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (4, 1, 3), (1, 5, 1), (3, 3, 3),
+                                   (5, 2, 6)])
+def test_matrix_product_matches_entrywise_series_products(shape):
+    rows, inner, cols = shape
+    rng = random.Random(sum(shape))
+    for order in (0, 2, 5):
+        for _ in range(6):
+            x = _random_matrix(rng, rows, inner, order)
+            y = _random_matrix(rng, inner, cols, order)
+            product = x * y
+            assert product.space == (rows, cols, order)
+            assert product.terms == _oracle_product(x, y), f"{shape} at order {order}"
+            assert all(not v.is_zero() for v in product.terms.values())
+
+
+def test_matrix_product_drops_cancelled_and_truncated_entries():
+    rng = random.Random(15)
+    order = 4
+    u, v, w = (_random_series(rng, order) for _ in range(3))
+    # [u, u] [v, w; -v, -w] cancels to zero in both entries
+    x = Matrix(1, 2, order, {(0, 0): u, (0, 1): u})
+    y = Matrix(2, 2, order, {(0, 0): v, (1, 0): -v, (0, 1): w, (1, 1): -w})
+    assert (x * y).terms == {}
+    # h^3 * h^2 lies above h^4, so the product is cut to zero
+    h3 = Matrix(2, 2, order, {(1, 0): HSeries.h_power(3, order, sqrt_fraction(2))})
+    h2 = Matrix(2, 2, order, {(0, 1): HSeries.h_power(2, order, Fraction(1, 3))})
+    assert (h3 * h2).is_zero()
+    # one entry cancels, the other keeps only the terms below the cut
+    a = HSeries.h_power(1, order, sqrt_fraction(3)) + HSeries.h_power(3, order, Fraction(1, 2))
+    x = Matrix(2, 2, order, {(0, 0): a, (0, 1): a, (1, 0): a})
+    y = Matrix(2, 1, order, {(0, 0): a, (1, 0): -a})
+    assert (x * y).terms == _oracle_product(x, y) == {(1, 0): _series_product(a, a)}
+    assert _series_product(a, a) == HSeries.h_power(2, order, 3) + HSeries.h_power(
+        4, order, sqrt_fraction(3))
+
+
+def test_twist_inverse_is_the_label_reversed_twist():
+    # the Neumann inverse of F against F with every weight label negated
+    for j1, j2 in ((4, 4), (HalfInt(7), H12), (H12, 4)):
+        f = twist_matrix_oracle(j1, j2, 16)
+        last = f.nrows - 1
+        reversed_f = Matrix(f.nrows, f.ncols, 16, {(last - c, last - r): v
+                                                   for (r, c), v in f.terms.items()})
+        assert twist_inverse(j1, j2, 16) == reversed_f, f"at ({j1},{j2})"
