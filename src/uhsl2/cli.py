@@ -227,11 +227,10 @@ def suite_slh2(cfg):
 def suite_dfunctions(cfg):
     rows = []
     params = {"order": str(cfg.order)}
-    pres = slh2.group_algebra(cfg.order, True)
+    t = slh2.matrix_gens(slh2.group_algebra(cfg.order, True))
     d = slh2.dfunction(HALF, cfg.order)
-    ok = (d[(HALF, HALF)] == pres.gen("x") and d[(-HALF, HALF)] == pres.gen("v")
-          and d[(HALF, -HALF)] == pres.gen("u")
-          and d[(-HALF, -HALF)] == pres.gen("y"))
+    index = {HALF: 0, -HALF: 1}
+    ok = all(d[(k, m)] == t[index[k]][index[m]] for k in index for m in index)
     rows.append(_row("dfunctions", "fundamental_equals_letter_matrix",
                      "dfun-fundamental", params, ok))
     # these spins cover every plane basis the suite builds

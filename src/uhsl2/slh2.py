@@ -12,6 +12,7 @@ import heapq
 from fractions import Fraction
 from functools import lru_cache
 
+from .reps import universal_r_rep
 from .scalar import (SCALARS, AlgebraMap, HSeries, HalfInt, SeriesCombination,
                      add_into, sqrt_fraction, weights)
 from .su2data import fact
@@ -234,9 +235,31 @@ def group_algebra(order, quotient=True):
 
 
 @lru_cache(maxsize=None)
+def free_words(pres):
+    """The letters of pres with no rules at all."""
+    return Presentation(f"free-{pres.name}", pres.gens, {}, pres.order)
+
+
 def free_group_words(order):
-    """The same four letters with no relations at all."""
-    return Presentation("free-matrix-letters", GROUP_GENS, {}, order)
+    """The four matrix letters with no relations at all."""
+    return free_words(group_algebra(order, False))
+
+
+def relation_words(pres, free):
+    """Each rule g1 g2 -> rhs of pres as the element g1 g2 - rhs of free, a
+    presentation with the same letters and no rules; keyed by the pair."""
+    one = HSeries.one(pres.order)
+    return {pair: NCElement(free, {pair: one}) - NCElement(free, rhs)
+            for pair, rhs in pres.rules.items()}
+
+
+def _pair_name(pres, pair):
+    return "".join(pres.gens[i] for i in pair)
+
+
+def _violations(free, words, f):
+    """Names of the relation words that f does not send to zero."""
+    return [_pair_name(free, pair) for pair, w in words.items() if not f(w).is_zero()]
 
 
 @lru_cache(maxsize=None)
@@ -272,15 +295,15 @@ def _side_by_side(name, blocks, order):
     return Presentation(name, gens, rules, order)
 
 
+# each module algebra and its row letters (r0, r1), which the coaction
+# sends to the row vector (r0, r1) times the matrix of letters
+_MODULES = {"plane": (plane_algebra, ("xi", "eta")), "osc": (osc_algebra, ("a", "abar"))}
+
+
 @lru_cache(maxsize=None)
 def mixed_algebra(module, order):
     """Module coordinates adjoined to the group, the two blocks commuting."""
-    if module == "plane":
-        mod = plane_algebra(order)
-    elif module == "osc":
-        mod = osc_algebra(order)
-    else:
-        raise ValueError(f"unknown module {module!r}")
+    mod = _MODULES[module][0](order)
     return _side_by_side(f"{module}-with-group",
                          [(mod.gens, mod.rules), (GROUP_GENS, _group_rules(order, True))],
                          order)
@@ -305,10 +328,23 @@ def tensor_cube(order, quotient=True):
 # Hopf structure
 
 
+LAYOUT = (("x", "u"), ("v", "y"))
+
+
+def as_matrix(images):
+    """The images of the four letters, laid out as the matrix of letters."""
+    return [[images[g] for g in row] for row in LAYOUT]
+
+
 def matrix_gens(pres, suffix=""):
-    """The fundamental corepresentation matrix [[x, u], [v, y]]."""
-    g = lambda name: pres.gen(name + suffix)
-    return [[g("x"), g("u")], [g("v"), g("y")]]
+    """The fundamental corepresentation matrix LAYOUT."""
+    return as_matrix({g: pres.gen(g + suffix) for g in GROUP_GENS})
+
+
+def _nc_matmul(a, b, pres):
+    """The product of two matrices, lists of rows, over pres."""
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), pres.zero())
+             for j in range(len(b[0]))] for row in a]
 
 
 def determinant(pres, suffix=""):
@@ -318,31 +354,10 @@ def determinant(pres, suffix=""):
     return g("x") * g("y") - g("u") * g("v") - (g("x") * g("v")).scale(h1)
 
 
-def relation_elements(pres, suffix=""):
-    """The six defining relations, written as elements that must vanish."""
-    g = lambda name: pres.gen(name + suffix)
-    x, y, v, u = g("x"), g("y"), g("v"), g("u")
-    h1 = HSeries.h_power(1, pres.order)
-    return {
-        "vx": v * x - x * v - (v * v).scale(h1),
-        "vy": v * y - y * v - (v * v).scale(h1),
-        "ux": u * x - x * u - pres.one().scale(h1) + (x * x).scale(h1),
-        "uy": u * y - y * u - pres.one().scale(h1) + (y * y).scale(h1),
-        "xy": x * y - y * x - (x * v - y * v).scale(h1),
-        "vu": v * u - u * v - (x * v + v * y).scale(h1),
-    }
-
-
 def coproduct_images(target, left="1", right="2"):
-    """Images of the four letters under matrix comultiplication."""
-    gl = lambda name: target.gen(name + left)
-    gr = lambda name: target.gen(name + right)
-    return {
-        "x": gl("x") * gr("x") + gl("u") * gr("v"),
-        "u": gl("x") * gr("u") + gl("u") * gr("y"),
-        "v": gl("v") * gr("x") + gl("y") * gr("v"),
-        "y": gl("v") * gr("u") + gl("y") * gr("y"),
-    }
+    """Images of the four letters under matrix comultiplication, T1 T2."""
+    t12 = _nc_matmul(matrix_gens(target, left), matrix_gens(target, right), target)
+    return {g: t12[i][k] for i, row in enumerate(LAYOUT) for k, g in enumerate(row)}
 
 
 def counit_images(target):
@@ -364,7 +379,13 @@ def antipode_images(pres):
 
 
 def slh2_hopf_suite(order):
-    """Full bialgebra / Hopf verification; {check: (ok, detail)}."""
+    """Full bialgebra / Hopf verification; {check: (ok, detail)}.
+
+    Delta, epsilon and S are applied to the relation words of the rules,
+    written in the free algebra on the four letters.  Delta is an algebra
+    map only into the quotient tensor square: the relations carry constant
+    terms and hold only where det = 1.
+    """
     out = {}
     try:
         quo = group_algebra(order, True)
@@ -394,10 +415,13 @@ def slh2_hopf_suite(order):
                                  "determinant rewrites to 1 in the quotient")
 
     t2 = tensor_square(order, False)
+    t2q = tensor_square(order, True)
     delta = coproduct_images(t2)
     comul = letter_map(full, delta)
-    rels = relation_elements(full)
-    bad = [name for name, e in rels.items() if not comul(e).is_zero()]
+    comul_q = letter_map(full, coproduct_images(t2q))
+    free = free_group_words(order)
+    rels = relation_words(full, free)
+    bad = _violations(free, rels, comul_q)
     out["coproduct_respects_relations"] = (not bad, f"violations: {bad}" if bad
                                            else "all six relations preserved")
 
@@ -413,16 +437,14 @@ def slh2_hopf_suite(order):
     cof_l = (gt("y2") * gt("v2") + (gt("v2") * gt("v2")).scale(h1)).scale(h1)
     ok = (det12 - det_l * det_r
           == -(cof_r * (det_r - t2.one())) - (cof_l * (det_l - t2.one())))
-    t2q = tensor_square(order, True)
-    ok = ok and letter_map(full, coproduct_images(t2q))(det) == t2q.one()
+    ok = ok and comul_q(det) == t2q.one()
     out["determinant_grouplike"] = (
         ok,
         "det x det minus the comultiplied determinant factors through"
         " det - 1 on each side and collapses to 1 in the quotient")
 
     eps = counit_images(quo)
-    counit = letter_map(full, eps)
-    bad = [name for name, e in rels.items() if not counit(e).is_zero()]
+    bad = _violations(free, rels, letter_map(full, eps))
     out["counit_respects_relations"] = (not bad, f"violations: {bad}" if bad
                                         else "counit kills all six relations")
 
@@ -445,21 +467,13 @@ def slh2_hopf_suite(order):
 
     s_img = antipode_images(quo)
     antipode = letter_map(quo, s_img, antihom=True)
-    rels_q = relation_elements(quo)
-    bad = [name for name, e in rels_q.items() if not antipode(e).is_zero()]
+    bad = _violations(free, relation_words(quo, free), antipode)
     out["antipode_antihomomorphism"] = (not bad, f"violations: {bad}" if bad
                                         else "reversed substitution kills all relations")
 
-    t = matrix_gens(quo)
-    st = [[s_img["x"], s_img["u"]], [s_img["v"], s_img["y"]]]
-    ok = True
-    for i in range(2):
-        for k in range(2):
-            want = quo.one() if i == k else quo.zero()
-            lhs = st[i][0] * t[0][k] + st[i][1] * t[1][k]
-            rhs = t[i][0] * st[0][k] + t[i][1] * st[1][k]
-            if lhs != want or rhs != want:
-                ok = False
+    t, st = matrix_gens(quo), as_matrix(s_img)
+    ident = [[quo.one(), quo.zero()], [quo.zero(), quo.one()]]
+    ok = _nc_matmul(st, t, quo) == ident == _nc_matmul(t, st, quo)
     out["antipode_axiom"] = (ok, "the antipode matrix is a two-sided inverse")
     return out
 
@@ -469,37 +483,19 @@ def slh2_hopf_suite(order):
 
 
 def exchange_matrix(order):
-    """Constant exchange matrix on the square of the fundamental basis.
+    """The universal R on the square of the fundamental representation.
 
     Basis order e1 x e1, e1 x e2, e2 x e1, e2 x e2 with e1 the highest
-    weight vector, matching the row order of the matrix of letters.
+    weight vector, matching the row order of the matrix of letters; reps
+    lists the weights ascending, so both indices are reversed.
     """
-    h1 = HSeries.h_power(1, order)
-    h2 = HSeries.h_power(2, order)
-    one = HSeries.one(order)
-    zero = HSeries.zero(order)
-    return [[one, h1, -h1, h2],
-            [zero, one, zero, h1],
-            [zero, zero, one, -h1],
-            [zero, zero, zero, one]]
+    r = universal_r_rep(HalfInt(1), HalfInt(1), order)
+    return [[r.get(3 - i, 3 - k) for k in range(4)] for i in range(4)]
 
 
-def _nc_matmul(a, b, pres):
-    n = len(a)
-    out = [[pres.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = pres.zero()
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
-    return out
-
-
-def _exchange_entries(pres, order):
+def _exchange_entries(pres, r):
     """Entries of R T1 T2 - T2 T1 R over the given presentation."""
     t = matrix_gens(pres)
-    r = exchange_matrix(order)
     t1 = [[t[a // 2][b // 2] if a % 2 == b % 2 else pres.zero()
            for b in range(4)] for a in range(4)]
     t2 = [[t[a % 2][b % 2] if a // 2 == b // 2 else pres.zero()
@@ -516,68 +512,50 @@ def rtt_check(order):
         normal-orders to zero (the relations have constant terms, so the
         identity is exact only there);
     (b) in the free algebra every entry is a series combination of the six
-        relation elements plus a series multiple of det - 1;
+        relation words plus a series multiple of det - 1;
     (c) eliminating over those combinations recovers every relation, modulo
         det - 1, as a series combination of the sixteen entries.
     """
     out = {}
-    entries = _exchange_entries(group_algebra(order, True), order)
+    rmat = exchange_matrix(order)
+    entries = _exchange_entries(group_algebra(order, True), rmat)
     bad = [(i, j) for i in range(4) for j in range(4) if not entries[i][j].is_zero()]
     out["entries_vanish"] = (not bad, f"nonzero entries at {bad}" if bad
                              else "all sixteen entries rewrite to zero")
 
     free = free_group_words(order)
-    rels = relation_elements(free)
-    # pivot on the descending two-letter word each relation element carries
-    leading = {("v", "x"): "vx", ("v", "y"): "vy", ("u", "x"): "ux",
-               ("u", "y"): "uy", ("y", "x"): "xy", ("u", "v"): "vu"}
-    lead_words = {tuple(free.index[g] for g in pair): name
-                  for pair, name in leading.items()}
-    monic = {}
-    for pair, name in leading.items():
-        e = rels[name]
-        w = tuple(free.index[g] for g in pair)
-        monic[name] = e.scale(e.terms[w].invert_unit())
-
+    rels = relation_words(group_algebra(order, False), free)
     h1 = HSeries.h_power(1, order)
     h2 = HSeries.h_power(2, order)
     g = free.gen
-    # det - 1 written in ascending words only, so elimination never moves it
+    # det - 1 written in normal words only, so no relation word meets it
     dm1 = (g("x") * g("y") + (g("y") * g("v")).scale(h1)
            + (g("v") * g("v")).scale(h2) - g("v") * g("u") - free.one())
     zero = HSeries.zero(order)
 
-    free_entries = _exchange_entries(free, order)
-    names = ["vx", "vy", "ux", "uy", "xy", "vu"]
+    free_entries = _exchange_entries(free, rmat)
     rows = []
     ok = True
     detail = "entries decompose over the six relations and det - 1"
     for i in range(4):
         for j in range(4):
             e = free_entries[i][j]
-            comb = dict.fromkeys(names, zero)
-            changed = True
-            while changed:
-                changed = False
-                for w, name in lead_words.items():
-                    c = e.terms.get(w)
-                    if c is None:
-                        continue
-                    comb[name] = comb[name] + c
-                    e = e - monic[name].scale(c)
-                    changed = True
+            # a relation word holds its rule pair with coefficient 1 and
+            # otherwise only normal words, so one pass clears every pair
+            comb = [e.terms.get(pair, zero) for pair in rels]
+            e = e - sum((w.scale(c) for c, w in zip(comb, rels.values())), free.zero())
             cdet = -e.terms.get((), zero)
             if e != dm1.scale(cdet):
                 ok = False
                 detail = f"entry ({i},{j}) leaves residue {e}"
-            rows.append([comb[name] for name in names])
+            rows.append(comb)
     out["entries_span_relations"] = (ok, detail)
 
     # Gaussian elimination over the series ring: a pivot needs a coefficient
     # that is invertible, i.e. nonzero at h^0.
     pivot_rows = set()
     pivoted = set()
-    for col in range(len(names)):
+    for col in range(len(rels)):
         sel = None
         for r, row in enumerate(rows):
             if r not in pivot_rows and row[col].valuation() == 0:
@@ -593,7 +571,8 @@ def rtt_check(order):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[sel])]
         pivot_rows.add(sel)
         pivoted.add(col)
-    missing = [names[c] for c in range(len(names)) if c not in pivoted]
+    missing = [_pair_name(free, pair) for col, pair in enumerate(rels)
+               if col not in pivoted]
     out["each_relation_recovered"] = (
         not missing,
         f"no invertible combination reaches: {missing}" if missing else
@@ -605,33 +584,31 @@ def rtt_check(order):
 # covariance of the module algebras
 
 
-def covariance_check(order):
-    """Transformed module coordinates satisfy the same deformed relations.
+def _coaction(module, order):
+    """The mixed algebra of a module, the indices (i0, i1) of its row letters
+    (r0, r1), and the coaction r0 -> r0 x + r1 v, r1 -> r0 u + r1 y.
 
-    In the mixed algebra the primed pair is the row vector (first, second)
-    times the matrix of letters; the plane and oscillator exchange relations
-    must survive with the same deformation parameter.
+    The module block comes first in the mixed algebra, so its letters keep
+    their indices and the coaction applies to module elements as they are.
     """
+    pres = mixed_algebra(module, order)
+    rows = _MODULES[module][1]
+    primed = _nc_matmul([[pres.gen(g) for g in rows]], matrix_gens(pres), pres)[0]
+    indices = tuple(pres.index[g] for g in rows)
+    return pres, indices, AlgebraMap(dict(zip(indices, primed)))
+
+
+def covariance_check(order):
+    """The coaction sends the one rule word of each module algebra to zero:
+    the transformed coordinates satisfy the same deformed relation, with the
+    same deformation parameter."""
     out = {}
-    h1 = HSeries.h_power(1, order)
-
-    pres = mixed_algebra("plane", order)
-    eta, xi = pres.gen("eta"), pres.gen("xi")
-    x, y, v, u = (pres.gen(g) for g in GROUP_GENS)
-    xi_p = xi * x + eta * v
-    eta_p = xi * u + eta * y
-    res = xi_p * eta_p - eta_p * xi_p - (xi_p * xi_p).scale(h1)
-    out["plane"] = (res.is_zero(), "transformed plane relation holds"
-                    if res.is_zero() else f"residue {res}")
-
-    pres = mixed_algebra("osc", order)
-    a, ab = pres.gen("a"), pres.gen("abar")
-    x, y, v, u = (pres.gen(g) for g in GROUP_GENS)
-    a_p = a * x + ab * v
-    ab_p = a * u + ab * y
-    res = ab_p * a_p - a_p * ab_p - pres.one() + (a_p * a_p).scale(h1)
-    out["oscillator"] = (res.is_zero(), "transformed oscillator relation holds"
-                         if res.is_zero() else f"residue {res}")
+    for module, label in (("plane", "plane"), ("osc", "oscillator")):
+        mod = _MODULES[module][0](order)
+        (word,) = relation_words(mod, free_words(mod)).values()
+        res = _coaction(module, order)[2](word)
+        out[label] = (res.is_zero(), f"transformed {label} relation holds"
+                      if res.is_zero() else f"residue {res}")
     return out
 
 
@@ -694,23 +671,15 @@ def dfunction(j, order, route="plane"):
     oscillator module (a, abar), differ only in these inputs and must agree.
     """
     j = HalfInt.of(j)
-    if route == "plane":
-        pres = mixed_algebra("plane", order)
-        family = {k: plane_basis(j, k, order) for k in weights(j)}
-        rows = ("xi", "eta")
-    elif route == "symplecton":
-        pres = mixed_algebra("osc", order)
-        family = {k: osc_symplecton_poly(j, k, order) for k in weights(j)}
-        rows = ("a", "abar")
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    # the module block comes first, so its letters keep their indices; a
-    # normal word has its module letters first, in ascending order
-    i0, i1 = (pres.index[g] for g in rows)
-    r0, r1 = pres.gen(rows[0]), pres.gen(rows[1])
-    x, y, v, u = (pres.gen(g) for g in GROUP_GENS)
-    inner = AlgebraMap({i0: r0, i1: r1})
-    outer = AlgebraMap({i0: r0 * x + r1 * v, i1: r0 * u + r1 * y})
+    try:
+        module, basis_of = {"plane": ("plane", plane_basis),
+                            "symplecton": ("osc", osc_symplecton_poly)}[route]
+    except KeyError:
+        raise ValueError(f"unknown route {route!r}") from None
+    family = {k: basis_of(j, k, order) for k in weights(j)}
+    pres, (i0, i1), outer = _coaction(module, order)
+    # a normal word has its module letters first, in ascending order
+    inner = AlgebraMap({i: pres.gen(pres.gens[i]) for i in (i0, i1)})
     top = {k: tuple(sorted((i0,) * (j + k).as_int() + (i1,) * (j - k).as_int()))
            for k in weights(j)}
     basis = {k: inner(f) for k, f in family.items()}

@@ -281,32 +281,6 @@ def _collapse(j, jp_, products, dressed, order):
     return None
 
 
-def twist_conjugation_check(jp_, order):
-    """Conjugating the family by exp(m s) shifts Abar by 2hm A, and that
-    substitution re-expands over the family with exp(m s) matrix elements."""
-    jp_ = HalfInt.of(jp_)
-    A, Ab = OscElement.monomial(1, 0, order), OscElement.monomial(0, 1, order)
-    for m in (HalfInt(1), HalfInt(-1), HalfInt(2), HalfInt(-3)):
-        shift = HSeries.h_power(1, order, (2 * m).as_fraction())
-        shifted = AlgebraMap({0: A, 1: Ab + A.scale(shift)})
-        for mp in weights(jp_):
-            poly = osc_symplecton_poly(jp_, mp, order)
-            lhs = shifted(poly)
-            conj = exp_m_sigma_osc(m.as_fraction(), order) * poly \
-                * exp_m_sigma_osc(-m.as_fraction(), order)
-            if lhs != conj:
-                return False, f"substitution differs from conjugation at m={m}, m'={mp}"
-            rhs = OscElement.zero(order)
-            for np_ in half_range(mp, jp_):
-                entry = exp_sigma_entry(jp_, np_, m, mp, order)
-                if entry.is_zero():
-                    continue
-                rhs = rhs + osc_symplecton_poly(jp_, np_, order).scale(entry)
-            if lhs != rhs:
-                return False, f"re-expansion fails at m={m}, m'={mp}"
-    return True, "twist conjugation acts by weight redistribution"
-
-
 def _pair_ratios(j, jp_, expansions, order):
     """Reduced-coupling calibration constants of one spin pair, {(j, j', k): r}.
 

@@ -173,15 +173,6 @@ def j_zero(order):
                         (0, 0): HSeries.constant(Fraction(1, 2), order)}, order)
 
 
-def sigma_weyl(order):
-    """The nilpotent-free twist exponent s = -log(1 + h a^2) as a series."""
-    terms = {}
-    for k in range(1, order + 1):
-        sign = Fraction(-1, k) if k % 2 else Fraction(1, k)
-        terms[(2 * k, 0)] = HSeries.h_power(k, order, sign)
-    return WeylElement(terms, order)
-
-
 @lru_cache(maxsize=None)
 def _binomial_in_square(cls, alpha, sign, order):
     """(1 + sign*h*x^2)^alpha with x the first generator of cls."""
@@ -207,13 +198,6 @@ def to_oscillator(order):
     half = Fraction(1, 2)
     return AlgebraMap({0: OscElement.monomial(1, 0, order) * exp_m_sigma_osc(-half, order),
                        1: OscElement.monomial(0, 1, order) * exp_m_sigma_osc(half, order)})
-
-
-def from_oscillator(order):
-    """The map rewriting an oscillator element back in the plain Weyl generators."""
-    half = Fraction(1, 2)
-    return AlgebraMap({0: WeylElement.monomial(1, 0, order) * exp_m_sigma(half, order),
-                       1: WeylElement.monomial(0, 1, order) * exp_m_sigma(-half, order)})
 
 
 def classical_symplecton(j, m, order, form="A"):

@@ -9,34 +9,80 @@ import random
 from uhsl2 import slh2
 from uhsl2.cli import main
 from uhsl2.scalar import HSeries, sqrt_fraction
-from uhsl2.reps import HalfInt, universal_r_rep
+from uhsl2.reps import HalfInt, Matrix, universal_r_rep
 from uhsl2.weyl import OscElement
 from uhsl2.slh2 import (
     GROUP_GENS,
     antipode_images,
+    coproduct_images,
     covariance_check,
     dfunction,
     dfunction_coalgebra_check,
     dfunction_routes_agree,
-    exchange_matrix,
+    free_group_words,
     group_algebra,
     letter_map,
     osc_algebra,
     plane_basis,
     plane_forms_check,
-    relation_elements,
+    relation_words,
     rtt_check,
     slh2_hopf_suite,
+    tensor_square,
 )
 
 ORDER = 4
 
 
 def test_defining_relations_rewrite_to_zero():
+    # the relation words live in the free algebra, where they are nonzero;
+    # the six words of the full algebra vanish in the quotient as well
+    free = free_group_words(ORDER)
+    full, quo = group_algebra(ORDER, False), group_algebra(ORDER, True)
+    for source, targets in ((full, (full, quo)), (quo, (quo,))):
+        for pair, word in relation_words(source, free).items():
+            assert not word.is_zero(), f"relation word of {pair} is zero in {free}"
+            for pres in targets:
+                into = letter_map(free, {g: pres.gen(g) for g in GROUP_GENS})
+                assert into(word).is_zero(), (
+                    f"relation word of {pair} of {source} survives in {pres}: {into(word)}")
+
+
+def test_coproduct_respects_relations_only_modulo_the_determinant():
+    # the relations carry constant terms, so each comultiplied relation word
+    # vanishes in the quotient square and in the full square none does
+    full = group_algebra(ORDER, False)
+    free = free_group_words(ORDER)
     for quotient in (False, True):
-        pres = group_algebra(ORDER, quotient)
-        for name, e in relation_elements(pres).items():
-            assert e.is_zero(), f"relation {name} nonzero (quotient={quotient}): {e}"
+        comul = letter_map(full, coproduct_images(tensor_square(ORDER, quotient)))
+        for pair, word in relation_words(full, free).items():
+            assert comul(word).is_zero() == quotient, (
+                f"relation word of {pair}, quotient square {quotient}: {comul(word)}")
+
+
+def failed_rows(rows):
+    return {name: detail for name, (ok, detail) in rows.items() if not ok}
+
+
+def test_antipode_as_a_map_fails_the_antihomomorphism_row(monkeypatch):
+    real = slh2.letter_map
+    monkeypatch.setattr(slh2, "letter_map",
+                        lambda source, images, antihom=False: real(source, images))
+    assert failed_rows(slh2_hopf_suite(ORDER)) == {
+        "antipode_antihomomorphism":
+            "violations: ['yx', 'vx', 'vy', 'ux', 'uy', 'uv', 'vu']"}
+
+
+def test_counit_with_v_to_one_fails_the_relations_row(monkeypatch):
+    real = slh2.counit_images
+
+    def wrong(target):
+        return {**real(target), "v": target.one()}
+
+    monkeypatch.setattr(slh2, "counit_images", wrong)
+    assert failed_rows(slh2_hopf_suite(ORDER)) == {
+        "counit_respects_relations": "violations: ['vx', 'vy', 'uv']",
+        "counit_axiom": "counit is a two-sided identity for comultiplication"}
 
 
 def test_rewriting_matches_oscillator_reordering():
@@ -79,20 +125,16 @@ def test_module_covariance():
         assert ok, f"{name}: {detail}"
 
 
-def test_exchange_matrix_matches_twist_r_matrix():
-    # the representation-side matrix uses the ascending weight basis, the
-    # exchange matrix lists the highest weight vector first
-    rmat = universal_r_rep(HalfInt(1), HalfInt(1), ORDER)
-    ex = exchange_matrix(ORDER)
+def test_perturbed_exchange_matrix_fails_the_rtt_rows(monkeypatch):
+    # the exchange matrix is the R of reps; one h-term changed there breaks
+    # the exchange relations of the letters
+    def perturbed(j1, j2, order):
+        bump = Matrix(4, 4, order, {(2, 0): HSeries.h_power(1, order)})
+        return universal_r_rep(j1, j2, order) + bump
 
-    def flip(i):
-        a1, a2 = divmod(i, 2)
-        return (1 - a1) * 2 + (1 - a2)
-
-    for i in range(4):
-        for j in range(4):
-            assert rmat.get(flip(i), flip(j)) == ex[i][j], (
-                f"exchange matrix entry ({i},{j}) disagrees with the twist")
+    monkeypatch.setattr(slh2, "universal_r_rep", perturbed)
+    failed = failed_rows(rtt_check(ORDER))
+    assert set(failed) == {"entries_vanish", "entries_span_relations"}, failed
 
 
 def test_plane_basis_forms_and_pivot():

@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from uhsl2.scalar import (HSeries, HalfInt, RadicalSum, half_range, spins_up_to,
-                          sqrt_fraction, weights)
+from uhsl2.reps import exp_sigma_entry
+from uhsl2.scalar import (AlgebraMap, HSeries, HalfInt, RadicalSum, half_range,
+                          spins_up_to, sqrt_fraction, weights)
 from uhsl2.symplecton import (decompose_twisted, generating_function_check,
                               generator_reconstruction_check, h_symplecton_forms_check,
-                              hypergeometric_form, product_law_suite,
+                              hypergeometric_form, osc_symplecton_poly, product_law_suite,
                               symmetry_check, tensor_operator_check,
-                              twist_conjugation_check, weight_one_commutator_check)
-from uhsl2.weyl import WeylElement, classical_symplecton, h_symplecton
+                              weight_one_commutator_check)
+from uhsl2.weyl import (OscElement, WeylElement, classical_symplecton, exp_m_sigma_osc,
+                        h_symplecton)
 
 
 def test_reflection_symmetry():
@@ -88,6 +90,32 @@ def test_product_support(law_to_spin_one):
 def test_twisted_sum_collapse(law_to_spin_one):
     ok, detail = law_to_spin_one[0]["twisted_sum_collapse"]
     assert ok, detail
+
+
+def twist_conjugation_check(jp_, order):
+    """Conjugating the family by exp(m s) shifts Abar by 2hm A, and that
+    substitution re-expands over the family with exp(m s) matrix elements."""
+    jp_ = HalfInt.of(jp_)
+    A, Ab = OscElement.monomial(1, 0, order), OscElement.monomial(0, 1, order)
+    for m in (HalfInt(1), HalfInt(-1), HalfInt(2), HalfInt(-3)):
+        shift = HSeries.h_power(1, order, (2 * m).as_fraction())
+        shifted = AlgebraMap({0: A, 1: Ab + A.scale(shift)})
+        for mp in weights(jp_):
+            poly = osc_symplecton_poly(jp_, mp, order)
+            lhs = shifted(poly)
+            conj = exp_m_sigma_osc(m.as_fraction(), order) * poly \
+                * exp_m_sigma_osc(-m.as_fraction(), order)
+            if lhs != conj:
+                return False, f"substitution differs from conjugation at m={m}, m'={mp}"
+            rhs = OscElement.zero(order)
+            for np_ in half_range(mp, jp_):
+                entry = exp_sigma_entry(jp_, np_, m, mp, order)
+                if entry.is_zero():
+                    continue
+                rhs = rhs + osc_symplecton_poly(jp_, np_, order).scale(entry)
+            if lhs != rhs:
+                return False, f"re-expansion fails at m={m}, m'={mp}"
+    return True, "twist conjugation acts by weight redistribution"
 
 
 def test_twist_conjugation():

@@ -5,16 +5,32 @@ from fractions import Fraction
 
 import pytest
 
-from uhsl2.scalar import HalfInt, HSeries, RadicalSum, sqrt_fraction, weights
+from uhsl2.scalar import AlgebraMap, HalfInt, HSeries, RadicalSum, sqrt_fraction, weights
 from uhsl2.su2data import fact
 from uhsl2.weyl import (OscElement, WeylElement, ad_j0,
                         ad_jminus, ad_jplus, classical_symplecton,
                         decompose_symplecton_basis, exp_m_sigma,
-                        exp_m_sigma_osc, from_oscillator, h_symplecton,
-                        j_minus, j_plus, j_zero, ladder_coeff, sigma_weyl,
+                        exp_m_sigma_osc, h_symplecton,
+                        j_minus, j_plus, j_zero, ladder_coeff,
                         symplecton_pivot, to_oscillator)
 
 H = 4
+
+
+def sigma_weyl(order):
+    """The nilpotent-free twist exponent s = -log(1 + h a^2) as a series."""
+    terms = {}
+    for k in range(1, order + 1):
+        sign = Fraction(-1, k) if k % 2 else Fraction(1, k)
+        terms[(2 * k, 0)] = HSeries.h_power(k, order, sign)
+    return WeylElement(terms, order)
+
+
+def from_oscillator(order):
+    """The map rewriting an oscillator element back in the plain Weyl generators."""
+    half = Fraction(1, 2)
+    return AlgebraMap({0: WeylElement.monomial(1, 0, order) * exp_m_sigma(half, order),
+                       1: WeylElement.monomial(0, 1, order) * exp_m_sigma(-half, order)})
 
 
 def test_weyl_relation():
