@@ -303,9 +303,9 @@ def flip_tensor(mat, n1, n2):
 def r_triangularity_check(j1, j2, order):
     """R21 R = 1, the triangularity of the universal R-matrix."""
     n1, n2 = _dim(HalfInt.of(j1)), _dim(HalfInt.of(j2))
-    r = universal_r_rep(j1, j2, order)
-    r21 = flip_tensor(universal_r_rep(j2, j1, order), n2, n1)
-    return r21 * r == Matrix.identity(n1 * n2, order)
+    r = {pair: universal_r_rep(*pair, order) for pair in {(j1, j2), (j2, j1)}}
+    r21 = flip_tensor(r[(j2, j1)], n2, n1)
+    return r21 * r[(j1, j2)] == Matrix.identity(n1 * n2, order)
 
 
 def _embed_13(mat, n1, n2, n3, order):
@@ -324,9 +324,10 @@ def qybe_check(j1, j2, j3, order):
     n1, n2, n3 = (_dim(HalfInt.of(x)) for x in (j1, j2, j3))
     i1 = Matrix.identity(n1, order)
     i3 = Matrix.identity(n3, order)
-    r12 = universal_r_rep(j1, j2, order).kron(i3)
-    r23 = i1.kron(universal_r_rep(j2, j3, order))
-    r13 = _embed_13(universal_r_rep(j1, j3, order), n1, n2, n3, order)
+    r = {pair: universal_r_rep(*pair, order) for pair in {(j1, j2), (j2, j3), (j1, j3)}}
+    r12 = r[(j1, j2)].kron(i3)
+    r23 = i1.kron(r[(j2, j3)])
+    r13 = _embed_13(r[(j1, j3)], n1, n2, n3, order)
     return r12 * r13 * r23 == r23 * r13 * r12
 
 

@@ -622,8 +622,9 @@ class AlgebraMap:
     """The algebra map sending letter i to images[i], or with reverse=True
     the antimap, which reads every word backwards.
 
-    Calling the map on an element sums c * image(word) over its terms; the
-    element's type names the letters of each key.  The image of each word
+    Calling the map on an element sums c * image(word) over its terms, over
+    integer numerators on one denominator; the element's type names the
+    letters of each key.  The image of each word
     suffix is built once, as image(first letter) * image(rest), and kept for
     as long as the map lives, so a map built once serves a whole family.
     Words are built from the right because the plane route of
@@ -644,11 +645,14 @@ class AlgebraMap:
 
     def __call__(self, el):
         step = -1 if self.reverse else 1
-        out = {}
-        for key, c in el.terms.items():
-            for k, v in self._word(el.letters(key)[::step]).terms.items():
-                add_into(out, k, v * c)
-        return self._words[()]._like(out)
+        nums, den = _over_one_denominator(el.terms)
+        images, common = _over_one_denominator(
+            {(i, k): v for i, key in enumerate(el.terms)
+             for k, v in self._word(el.letters(key)[::step]).terms.items()})
+        sums = {}
+        for (i, key), num in images:
+            _numerator_product(nums[i][1], num, el.order, sums.setdefault(key, {}))
+        return self._words[()]._like(_series_of_sums(sums, den * common, el.order))
 
 
 @total_ordering

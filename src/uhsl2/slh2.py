@@ -9,16 +9,19 @@ representation matrices of every integer and half-integer spin.
 """
 
 import heapq
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
 from .reps import universal_r_rep
 from .scalar import (SCALARS, AlgebraMap, HSeries, HalfInt, SeriesCombination,
+                     _numerator_product, _over_one_denominator, _series_of_sums,
                      add_into, sqrt_fraction, weights)
 from .su2data import fact
 from .symplecton import osc_symplecton_poly
 
 _MAX_REWRITE_STEPS = 500000
+_UNIT = {(0, 1): 1}     # the numerators of the series 1
 
 
 def _priority(word):
@@ -38,6 +41,7 @@ class Presentation:
     rewrites to the right-hand side, a dict {word: HSeries}.  Construction
     trusts the rules; check_confluence, run by the suite and the tests, checks
     that every overlap g1 g2 g3 reduces to one normal form along both routes.
+    `starts` lists where each block begins; _side_by_side sets it.
     """
 
     def __init__(self, name, gens, rules, order):
@@ -46,6 +50,8 @@ class Presentation:
         self.index = {g: i for i, g in enumerate(self.gens)}
         self.order = order
         self.rules = rules
+        self.starts = (0,)
+        self._block_words = {}
 
     def __repr__(self):
         return f"Presentation({self.name!r}, order={self.order})"
@@ -102,6 +108,43 @@ class Presentation:
                 put(head + rw + tail, coeff * rc, start)
         return out
 
+    def block_product(self, terms1, terms2):
+        """Normal form of a product of sums {word: HSeries}, block by block: a
+        normal word is its block parts in block order, so a pair of terms needs
+        only each block's u1 u2 in normal form; sums run over integer numerators."""
+        (nums1, den1), (nums2, den2) = self._by_blocks(terms1), self._by_blocks(terms2)
+        order, block_word = self.order, self._block_word
+        acc = {}
+        for parts1, a in nums1:
+            for parts2, b in nums2:
+                out = [((), _numerator_product(a, b, order, {}))]
+                for u1, u2 in zip(parts1, parts2):
+                    out = [(w + bw, n if bn == _UNIT else _numerator_product(n, bn, order, {}))
+                           for w, n in out for bw, bn in block_word(u1 + u2)]
+                for w, n in out:
+                    sums = acc.setdefault(w, {})
+                    for key, c in n.items():
+                        sums[key] = sums.get(key, 0) + c
+        return _series_of_sums(acc, den1 * den2, order)
+
+    def _by_blocks(self, terms):
+        """([(block parts, numerators)], den); normal-orders words out of block order."""
+        blocks = [[bisect_right(self.starts, i) for i in w] for w in terms]
+        if any(b != sorted(b) for b in blocks):
+            return self._by_blocks(self.normal_form(terms))
+        nums, den = _over_one_denominator(terms)
+        cuts = ([bisect_left(b, k) for k in range(1, len(self.starts) + 2)] for b in blocks)
+        return [([w[lo:hi] for lo, hi in zip(c, c[1:])], n) for (w, n), c in zip(nums, cuts)], den
+
+    def _block_word(self, word):
+        """normal_form of one block's word as [(word, numerators)], built once; the
+        rule coefficients are integer h-polynomials, so the denominator is 1."""
+        got = self._block_words.get(word)
+        if got is None:
+            nf = self.normal_form({word: HSeries.one(self.order)})
+            got = self._block_words[word] = [(w, c.num) for w, c in nf.items()]
+        return got
+
     def check_confluence(self):
         """All one-letter overlaps of rule pairs resolve identically."""
         keys = self.rules.keys()
@@ -141,9 +184,6 @@ class Presentation:
     def one(self):
         return NCElement(self, {(): HSeries.one(self.order)})
 
-    def constant(self, c):
-        return NCElement(self, {(): c})
-
 
 class NCElement(SeriesCombination):
     """Normal-ordered element {word: HSeries}; its space is the presentation."""
@@ -163,6 +203,8 @@ class NCElement(SeriesCombination):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if len(self.pres.starts) > 1:
+            return self._like(self.pres.block_product(self.terms, other.terms))
         raw = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -193,6 +235,12 @@ class NCElement(SeriesCombination):
                 "terms": [{"word": [self.pres.gens[i] for i in w],
                            "coeff": c.to_json()}
                           for w, c in sorted(self.terms.items())]}
+
+
+def embed(el, target, shift=0):
+    """el in target, letters moved up by shift: a block's embedding only re-indexes."""
+    return target.zero()._like({tuple(i + shift for i in el.letters(w)): c
+                                for w, c in el.terms.items()})
 
 
 def letter_map(source, images, antihom=False):
@@ -284,15 +332,18 @@ def _side_by_side(name, blocks, order):
     move to its letters, and a later block's letters commute past an
     earlier block's."""
     one = HSeries.one(order)
-    gens, rules = [], {}
+    gens, rules, starts = [], {}, []
     for names, block_rules in blocks:
         n = len(gens)
+        starts.append(n)
         for (a, b), rhs in block_rules.items():
             rules[(a + n, b + n)] = {tuple(i + n for i in w): c for w, c in rhs.items()}
         for later in range(n, n + len(names)):
             rules.update({(later, earlier): {(earlier, later): one} for earlier in range(n)})
         gens.extend(names)
-    return Presentation(name, gens, rules, order)
+    pres = Presentation(name, gens, rules, order)
+    pres.starts = tuple(starts)
+    return pres
 
 
 # each module algebra and its row letters (r0, r1), which the coaction
@@ -429,8 +480,7 @@ def slh2_hopf_suite(order):
     # the determinant ideal of each tensor factor; the deviation factors
     # exactly through det - 1 on either side.
     det12 = comul(det)
-    det_l = letter_map(full, {g: t2.gen(g + "1") for g in GROUP_GENS})(det)
-    det_r = letter_map(full, {g: t2.gen(g + "2") for g in GROUP_GENS})(det)
+    det_l, det_r = embed(det, t2), embed(det, t2, t2.starts[1])
     gt = t2.gen
     h2 = HSeries.h_power(2, order)
     cof_r = (gt("v1") * gt("v1")).scale(h2)
@@ -679,25 +729,23 @@ def dfunction(j, order, route="plane"):
     family = {k: basis_of(j, k, order) for k in weights(j)}
     pres, (i0, i1), outer = _coaction(module, order)
     # a normal word has its module letters first, in ascending order
-    inner = AlgebraMap({i: pres.gen(pres.gens[i]) for i in (i0, i1)})
     top = {k: tuple(sorted((i0,) * (j + k).as_int() + (i1,) * (j - k).as_int()))
            for k in weights(j)}
-    basis = {k: inner(f) for k, f in family.items()}
+    basis = {k: embed(f, pres) for k, f in family.items()}
     transformed = {m: outer(f) for m, f in family.items()}
     pivot = {k: basis[k].terms[top[k]].invert_unit() for k in weights(j)}
 
-    group = group_algebra(order, True)
-    lift = letter_map(group, {g: pres.gen(g) for g in GROUP_GENS})
+    group, g0 = group_algebra(order, True), pres.starts[1]
     dmat = {}
     for m in weights(j):
         rest = transformed[m]
         for k in weights(j):
             n = len(top[k])
-            entry = NCElement(group, {tuple(i - 2 for i in w[n:]): c
+            entry = NCElement(group, {tuple(i - g0 for i in w[n:]): c
                                       for w, c in rest.terms.items()
-                                      if w[:n] == top[k] and all(i >= 2 for i in w[n:n + 1])})
+                                      if w[:n] == top[k] and all(i >= g0 for i in w[n:n + 1])})
             dmat[(k, m)] = entry.scale(pivot[k])
-            rest = rest - basis[k] * lift(dmat[(k, m)])
+            rest = rest - basis[k] * embed(dmat[(k, m)], pres, g0)
         if not rest.is_zero():
             raise RuntimeError(f"matrix solve left a residue at spin {j}, column {m}")
     return dmat
@@ -716,15 +764,11 @@ def dfunction_coalgebra_check(j, order):
     t2 = tensor_square(order, True)
     comul = letter_map(quo, coproduct_images(t2))
     counit = letter_map(quo, counit_images(quo))
-    emb1 = letter_map(quo, {g: t2.gen(g + "1") for g in GROUP_GENS})
-    emb2 = letter_map(quo, {g: t2.gen(g + "2") for g in GROUP_GENS})
-    left = {key: emb1(e) for key, e in dmat.items()}
-    right = {key: emb2(e) for key, e in dmat.items()}
+    left = {key: embed(e, t2) for key, e in dmat.items()}
+    right = {key: embed(e, t2, t2.starts[1]) for key, e in dmat.items()}
     for k in weights(j):
         for m in weights(j):
-            rhs = t2.zero()
-            for t in weights(j):
-                rhs = rhs + left[(k, t)] * right[(t, m)]
+            rhs = sum((left[(k, t)] * right[(t, m)] for t in weights(j)), t2.zero())
             if comul(dmat[(k, m)]) != rhs:
                 return False, f"comultiplication fails at entry ({k},{m})"
             want = quo.one() if k == m else quo.zero()

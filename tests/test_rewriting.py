@@ -117,6 +117,39 @@ def test_word_minus_one_rewrite_step_is_zero(name):
         done += 1
 
 
+SIDE_BY_SIDE = {
+    "plane-with-group": lambda: mixed_algebra("plane", ORDER),
+    "osc-with-group": lambda: mixed_algebra("osc", ORDER),
+    "tensor-square": lambda: tensor_square(ORDER),
+    "tensor-cube": lambda: tensor_cube(ORDER),
+}
+
+
+def raw_product(e1, e2):
+    """The concatenated products of the terms, not rewritten."""
+    return combine(*({w1 + w2: c1 * c2} for w1, c1 in e1.terms.items()
+                     for w2, c2 in e2.terms.items()))
+
+
+@pytest.mark.parametrize("name", sorted(SIDE_BY_SIDE))
+def test_block_product_matches_naive_reducer(name):
+    # products of normal elements go one block at a time; the naive reducer
+    # rewrites the whole concatenation and shares no code with that path
+    pres = SIDE_BY_SIDE[name]()
+    assert len(pres.starts) > 1
+    rng = random.Random(f"blocks-{name}")
+    for trial in range(10):
+        e1, e2 = (slh2.NCElement(pres, pres.normal_form(random_terms(rng, pres, 3, 3)))
+                  for _ in range(2))
+        assert (e1 * e2).terms == naive_normal_form(pres, raw_product(e1, e2)), \
+            f"{name}, trial {trial}"
+    # a hand-built operand whose word has a later block's letter first
+    last, first = len(pres.gens) - 1, 0
+    odd = slh2.NCElement(pres, {(last, first, last): random_series(rng)})
+    for e1, e2 in ((odd, e2), (e2, odd), (odd, odd)):
+        assert (e1 * e2).terms == naive_normal_form(pres, raw_product(e1, e2)), name
+
+
 def test_step_limit_names_presentation_word_and_count(monkeypatch):
     pres = group_algebra(ORDER, True)
     terms = {tuple(pres.index[g] for g in ("u", "u", "y", "x")): HSeries.one(ORDER)}

@@ -356,6 +356,38 @@ def test_half_int_hash_matches_fraction():
         assert hash(HalfInt(t)) == hash(Fraction(t, 2))
 
 
+def test_half_int_agrees_with_fraction_hypothesis():
+    # spin_rep's lru_cache and the spin-pair dicts of reps key on HalfInts
+    # next to ints and Fractions, so == and hash must be those of Fraction
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    halves = st.integers(-40, 40)
+    others = st.one_of(st.integers(-20, 20),
+                       st.builds(Fraction, st.integers(-40, 40), st.integers(1, 4)))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(halves, halves, others)
+    def agree(s, t, q):
+        a, b = HalfInt(s), HalfInt(t)
+        fa, fb = Fraction(s, 2), Fraction(t, 2)
+        assert (a + b).as_fraction() == fa + fb
+        assert (a - b).as_fraction() == fa - fb
+        assert (-a).as_fraction() == -fa
+        assert (a * t).as_fraction() == fa * t == (t * a).as_fraction()
+        assert (a < b) == (fa < fb) and (a <= b) == (fa <= fb)
+        assert (a > b) == (fa > fb) and (a >= b) == (fa >= fb)
+        assert (a == b) == (fa == fb) and hash(a) == hash(fa)
+        assert (a == q) == (fa == q) and (a != q) == (fa != q)
+        if a == q:
+            assert hash(a) == hash(q) and len({a, q}) == 1
+        if q.denominator in (1, 2):
+            c = HalfInt.of(q)
+            assert c == q and hash(c) == hash(q) and (a < c) == (fa < q)
+            assert (a + q).as_fraction() == fa + q
+
+    agree()
+
+
 def test_half_int_ranges():
     assert [str(m) for m in weights(HalfInt(3))] == ["-3/2", "-1/2", "1/2", "3/2"]
     assert [m.twice for m in half_range(0, 2)] == [0, 2, 4]

@@ -8,8 +8,9 @@ import random
 
 from uhsl2 import slh2
 from uhsl2.cli import main
-from uhsl2.scalar import HSeries, sqrt_fraction
+from uhsl2.scalar import AlgebraMap, HSeries, sqrt_fraction, weights
 from uhsl2.reps import HalfInt, Matrix, universal_r_rep
+from uhsl2.symplecton import osc_symplecton_poly
 from uhsl2.weyl import OscElement
 from uhsl2.slh2 import (
     GROUP_GENS,
@@ -19,9 +20,11 @@ from uhsl2.slh2 import (
     dfunction,
     dfunction_coalgebra_check,
     dfunction_routes_agree,
+    embed,
     free_group_words,
     group_algebra,
     letter_map,
+    mixed_algebra,
     osc_algebra,
     plane_basis,
     plane_forms_check,
@@ -252,3 +255,26 @@ def test_antipode_inverts_the_representation_matrices():
                 right = sum((d[(k, t)] * s[(t, m)] for t in weights), quo.zero())
                 assert left == want and right == want, (
                     f"antipode identity fails at spin {HalfInt(twice)}, entry ({k},{m})")
+
+
+def test_embeddings_are_the_letter_maps_they_replace():
+    # each block embedding re-indexes keys; as an algebra map it multiplies
+    # the images of the letters and normal-orders every product
+    quo = group_algebra(8, True)
+    entries = dfunction(HalfInt(3), 8).values()
+    t2 = tensor_square(8, True)
+    for suffix, shift in (("1", 0), ("2", t2.starts[1])):
+        emb = letter_map(quo, {g: t2.gen(g + suffix) for g in GROUP_GENS})
+        for e in entries:
+            assert embed(e, t2, shift) == emb(e), f"emb{suffix} on {e}"
+    families = {"plane": plane_basis, "osc": osc_symplecton_poly}
+    for module, basis_of in families.items():
+        pres = mixed_algebra(module, 8)
+        lift = letter_map(quo, {g: pres.gen(g) for g in GROUP_GENS})
+        for e in entries:
+            assert embed(e, pres, pres.starts[1]) == lift(e), f"lift into {module}"
+        inner = AlgebraMap({i: pres.gen(pres.gens[i]) for i in range(pres.starts[1])})
+        for j in (HalfInt(1), HalfInt(2), HalfInt(3)):
+            for m in weights(j):
+                f = basis_of(j, m, 8)
+                assert embed(f, pres) == inner(f), f"inner on the {module} family at {j}, {m}"
