@@ -624,9 +624,9 @@ class AlgebraMap:
 
     Calling the map on an element sums c * image(word) over its terms, over
     integer numerators on one denominator; the element's type names the
-    letters of each key.  The image of each word
-    suffix is built once, as image(first letter) * image(rest), and kept for
-    as long as the map lives, so a map built once serves a whole family.
+    letters of each key.  The image of each word suffix is built once, as
+    image(first letter) * image(rest), and kept for as long as the map
+    lives, so a map built once serves a whole family.
     Words are built from the right because the plane route of
     slh2.dfunction then stays within the rewrite-step limit at spin 4.
     """

@@ -121,6 +121,23 @@ def test_qybe():
     assert qybe_check(H12, 1, H12, 4)
 
 
+def test_r_checks_build_each_spin_pair_once(monkeypatch):
+    from uhsl2 import reps
+    built = []
+
+    def counted(j1, j2, order):
+        built.append((HalfInt.of(j1).twice, HalfInt.of(j2).twice))
+        return universal_r_rep(j1, j2, order)
+
+    monkeypatch.setattr(reps, "universal_r_rep", counted)
+    assert qybe_check(H12, H12, H12, 4) and r_triangularity_check(H12, H12, 4)
+    assert built == [(1, 1), (1, 1)]
+    built.clear()
+    # the spins 1/2 and 1, written as a HalfInt and as an int
+    assert qybe_check(H12, 1, H12, 4) and r_triangularity_check(H12, HalfInt(2), 4)
+    assert sorted(built) == [(1, 1), (1, 2), (1, 2), (2, 1), (2, 1)]
+
+
 def test_twisted_hopf_suite():
     for triple in ((H12, H12, H12), (1, H12, H12)):
         results = twisted_hopf_suite(*triple, ORD)
