@@ -270,17 +270,16 @@ def twist_inverse(j1, j2, order):
     return twist_matrix_oracle(j1, j2, order).inverse_unipotent()
 
 
-def twist_symmetry_check(j1, j2, order):
-    """Negating all weight labels in F gives the inverse twist, entry by entry.
+def twist_symmetry_check(f):
+    """Negating all weight labels in the twist F gives its inverse, entry by entry.
 
     widx(j, -m) = 2j - widx(j, m), so negating every label sends the flat
     index i to N - 1 - i.  The reversed matrix is checked as a right inverse,
     F R(F) = 1; over a commutative ring that makes it the inverse of F.
     """
-    f = twist_matrix_oracle(j1, j2, order)
     last = f.nrows - 1
     reversed_f = f._like({(last - c, last - r): v for (r, c), v in f.terms.items()})
-    return f * reversed_f == Matrix.identity(f.nrows, order)
+    return f * reversed_f == Matrix.identity(f.nrows, f.order)
 
 
 def universal_r_rep(j1, j2, order):

@@ -97,14 +97,6 @@ class RadicalSum:
     def is_zero(self):
         return not self.terms
 
-    def is_rational(self):
-        return all(r == 1 for r in self.terms)
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self.terms.get(1, Fraction(0))
-
     def _coerced(self, other):
         if isinstance(other, RadicalSum):
             return other
@@ -627,8 +619,6 @@ class AlgebraMap:
     letters of each key.  The image of each word suffix is built once, as
     image(first letter) * image(rest), and kept for as long as the map
     lives, so a map built once serves a whole family.
-    Words are built from the right because the plane route of
-    slh2.dfunction then stays within the rewrite-step limit at spin 4.
     """
 
     def __init__(self, images, reverse=False):

@@ -8,7 +8,6 @@ the mixed module-plus-group algebras used for covariance and for building
 representation matrices of every integer and half-integer spin.
 """
 
-import heapq
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
@@ -24,24 +23,24 @@ _MAX_REWRITE_STEPS = 500000
 _UNIT = {(0, 1): 1}     # the numerators of the series 1
 
 
-def _priority(word):
-    """Heap key: longest first, then most descending letter pairs, then largest."""
-    inversions = 0
-    for i, a in enumerate(word):
-        for b in word[i + 1:]:
-            if a > b:
-                inversions += 1
-    return -len(word), -inversions, tuple(-a for a in word)
+def _nonzero(sums):
+    """[(word, numerators)] from {word: numerators}, dropping the words whose
+    numerators are all zero."""
+    return [(w, n) for w, n in sums.items() if any(n.values())]
 
 
 class Presentation:
     """Generators with adjacent-pair rewrite rules over truncated series.
 
     Rules are keyed by an ordered pair of generator indices; the word g1 g2
-    rewrites to the right-hand side, a dict {word: HSeries}.  Construction
-    trusts the rules; check_confluence, run by the suite and the tests, checks
-    that every overlap g1 g2 g3 reduces to one normal form along both routes.
+    rewrites to the right-hand side, a dict {word: HSeries} whose
+    coefficients are integer h-polynomials.  Construction trusts the rules
+    otherwise; check_confluence, run by the suite and the tests, checks that
+    every overlap g1 g2 g3 reduces to one normal form along both routes.
     `starts` lists where each block begins; _side_by_side sets it.
+
+    A word is normal-ordered one letter at a time, and a product of elements
+    one block at a time; tables of both hold integer numerators.
     """
 
     def __init__(self, name, gens, rules, order):
@@ -49,64 +48,68 @@ class Presentation:
         self.gens = list(gens)
         self.index = {g: i for i, g in enumerate(self.gens)}
         self.order = order
+        if any(c.den != 1 for rhs in rules.values() for c in rhs.values()):
+            raise ValueError(f"rule coefficients of {name} must be integer h-polynomials")
         self.rules = rules
         self.starts = (0,)
+        self._letter_products = {}
         self._block_words = {}
 
     def __repr__(self):
         return f"Presentation({self.name!r}, order={self.order})"
 
-    def _redex(self, word, start):
-        """Position of the leftmost rewritable pair at or after start, or -1."""
-        rules = self.rules
-        for i in range(start, len(word) - 1):
-            if (word[i], word[i + 1]) in rules:
-                return i
-        return -1
-
     def normal_form(self, terms):
         """Rewrite {word: HSeries} until no rule applies; returns a new dict.
-
-        The rules are confluent and terminating, so the normal form is linear
-        and equal words may be summed before they are rewritten.  Pending
-        words wait in one dict, each rewritten once at its leftmost pair:
-        the longest, then most out of order, then largest goes first, so that
-        most contributions to a word have arrived by the time it is rewritten.
-        Normal words go straight to the result.
-        """
-        out = {}
-        pending = {}
-        heap = []
-
-        def put(word, c, start):
-            pos = self._redex(word, start)
-            if pos < 0:
-                add_into(out, word, c)
-            elif word in pending:
-                add_into(pending, word, c)
-            elif not c.is_zero():
-                pending[word] = c
-                heapq.heappush(heap, (_priority(word), word, pos))
-
-        for w, c in terms.items():
-            put(w, c, 0)
-        steps = 0
-        while heap:
-            _, word, pos = heapq.heappop(heap)
-            coeff = pending.pop(word, None)
-            if coeff is None:
-                continue
-            steps += 1
+        Normal-ordering one word may take _MAX_REWRITE_STEPS rule applications."""
+        nums, den = _over_one_denominator(terms)
+        sums = {}
+        for word, num in nums:
+            out, steps = self._block_word(word)
             if steps > _MAX_REWRITE_STEPS:
-                raise RuntimeError(
-                    f"rewriting in {self.name} exceeded the step limit of "
-                    f"{_MAX_REWRITE_STEPS} rewrite steps at the word "
-                    f"{'*'.join(self.pretty_word(word))}")
-            head, tail = word[:pos], word[pos + 2:]
-            start = max(pos - 1, 0)
-            for rw, rc in self.rules[(word[pos], word[pos + 1])].items():
-                put(head + rw + tail, coeff * rc, start)
-        return out
+                self._step_limit(word)
+            for w, n in out:
+                _numerator_product(num, n, self.order, sums.setdefault(w, {}))
+        return _series_of_sums(sums, den, self.order)
+
+    def _step_limit(self, word):
+        raise RuntimeError(
+            f"rewriting in {self.name} exceeded the step limit of "
+            f"{_MAX_REWRITE_STEPS} rewrite steps at the word "
+            f"{'*'.join(self.pretty_word(word))}")
+
+    def _times_word(self, terms, word):
+        """The normal words [(word, numerators)] times word, one letter at a
+        time, and the rule applications that took."""
+        order, steps = self.order, 0
+        for letter in word:
+            sums = {}
+            for w, num in terms:
+                out, n = self._times_letter(w, letter)
+                steps += n
+                for w2, n2 in out:
+                    _numerator_product(num, n2, order, sums.setdefault(w2, {}))
+            terms = _nonzero(sums)
+        return terms, steps
+
+    def _times_letter(self, word, letter):
+        """The normal word times one letter: ([(word, numerators)], rule
+        applications).  Only the new last pair can need a rule; its
+        right-hand side goes onto word[:-1] one letter at a time.  Each such
+        product is built once, and counts the applications that built it, so
+        the step count does not depend on what the table holds."""
+        rhs = self.rules.get((word[-1], letter)) if word else None
+        if rhs is None:
+            return [(word + (letter,), _UNIT)], 0
+        got = self._letter_products.get((word, letter))
+        if got is None:
+            sums, steps = {}, 1
+            for rw, rc in rhs.items():
+                out, n = self._times_word([(word[:-1], rc.num)], rw)
+                steps += n
+                for w, num in out:
+                    _numerator_product(num, _UNIT, self.order, sums.setdefault(w, {}))
+            got = self._letter_products[(word, letter)] = (_nonzero(sums), steps)
+        return got
 
     def block_product(self, terms1, terms2):
         """Normal form of a product of sums {word: HSeries}, block by block: a
@@ -117,10 +120,14 @@ class Presentation:
         acc = {}
         for parts1, a in nums1:
             for parts2, b in nums2:
-                out = [((), _numerator_product(a, b, order, {}))]
+                out, steps = [((), _numerator_product(a, b, order, {}))], 0
                 for u1, u2 in zip(parts1, parts2):
+                    bws, cost = block_word(u1 + u2)
+                    steps += cost
                     out = [(w + bw, n if bn == _UNIT else _numerator_product(n, bn, order, {}))
-                           for w, n in out for bw, bn in block_word(u1 + u2)]
+                           for w, n in out for bw, bn in bws]
+                if steps > _MAX_REWRITE_STEPS:
+                    self._step_limit(sum(parts1 + parts2, ()))
                 for w, n in out:
                     sums = acc.setdefault(w, {})
                     for key, c in n.items():
@@ -137,12 +144,11 @@ class Presentation:
         return [([w[lo:hi] for lo, hi in zip(c, c[1:])], n) for (w, n), c in zip(nums, cuts)], den
 
     def _block_word(self, word):
-        """normal_form of one block's word as [(word, numerators)], built once; the
-        rule coefficients are integer h-polynomials, so the denominator is 1."""
+        """The normal form of a word, [(word, numerators)], and the rule
+        applications it took, built once; block_product asks for block words."""
         got = self._block_words.get(word)
         if got is None:
-            nf = self.normal_form({word: HSeries.one(self.order)})
-            got = self._block_words[word] = [(w, c.num) for w, c in nf.items()]
+            got = self._block_words[word] = self._times_word([((), _UNIT)], word)
         return got
 
     def check_confluence(self):
@@ -203,13 +209,7 @@ class NCElement(SeriesCombination):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if len(self.pres.starts) > 1:
-            return self._like(self.pres.block_product(self.terms, other.terms))
-        raw = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                add_into(raw, w1 + w2, c1 * c2)
-        return self._like(self.pres.normal_form(raw))
+        return self._like(self.pres.block_product(self.terms, other.terms))
 
     def __str__(self):
         if not self.terms:

@@ -76,9 +76,6 @@ class _NormalPoly(SeriesCombination):
     def max_degree(self):
         return max((p + q for p, q in self.terms), default=None)
 
-    def coeff(self, p, q):
-        return self.terms.get((p, q), HSeries.zero(self.order))
-
     def _str_names(self):
         raise NotImplementedError
 

@@ -42,7 +42,7 @@ def test_02_twist_inverse_by_weight_reversal():
     spins = spins_up_to(HalfInt(5), HALF)
     for j1 in spins:
         for j2 in spins:
-            assert twist_symmetry_check(j1, j2, ORDER), \
+            assert twist_symmetry_check(twist_matrix_oracle(j1, j2, ORDER)), \
                 f"weight-reversal inverse symmetry fails at ({j1},{j2})"
 
 

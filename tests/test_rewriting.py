@@ -117,7 +117,11 @@ def test_word_minus_one_rewrite_step_is_zero(name):
         done += 1
 
 
-SIDE_BY_SIDE = {
+PRODUCTS = {
+    "sl2": lambda: group_algebra(ORDER, True),
+    "gl2": lambda: group_algebra(ORDER, False),
+    "plane": lambda: plane_algebra(ORDER),
+    "osc": lambda: osc_algebra(ORDER),
     "plane-with-group": lambda: mixed_algebra("plane", ORDER),
     "osc-with-group": lambda: mixed_algebra("osc", ORDER),
     "tensor-square": lambda: tensor_square(ORDER),
@@ -131,19 +135,20 @@ def raw_product(e1, e2):
                      for w2, c2 in e2.terms.items()))
 
 
-@pytest.mark.parametrize("name", sorted(SIDE_BY_SIDE))
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
 def test_block_product_matches_naive_reducer(name):
-    # products of normal elements go one block at a time; the naive reducer
-    # rewrites the whole concatenation and shares no code with that path
-    pres = SIDE_BY_SIDE[name]()
-    assert len(pres.starts) > 1
+    # every product goes one block at a time, a presentation without blocks
+    # being one block; the naive reducer rewrites the whole concatenation and
+    # shares no code with that path
+    pres = PRODUCTS[name]()
     rng = random.Random(f"blocks-{name}")
     for trial in range(10):
         e1, e2 = (slh2.NCElement(pres, pres.normal_form(random_terms(rng, pres, 3, 3)))
                   for _ in range(2))
         assert (e1 * e2).terms == naive_normal_form(pres, raw_product(e1, e2)), \
             f"{name}, trial {trial}"
-    # a hand-built operand whose word has a later block's letter first
+    # a hand-built operand whose word is not normal: with blocks, a later
+    # block's letter comes first
     last, first = len(pres.gens) - 1, 0
     odd = slh2.NCElement(pres, {(last, first, last): random_series(rng)})
     for e1, e2 in ((odd, e2), (e2, odd), (odd, odd)):
@@ -164,6 +169,23 @@ def test_step_limit_names_presentation_word_and_count(monkeypatch):
     monkeypatch.setattr(slh2, "_MAX_REWRITE_STEPS", 5)
     with pytest.raises(RuntimeError, match=r"limit of 5 rewrite steps at the word [xyuv^*0-9]+$"):
         pres.normal_form(terms)
+
+
+def test_step_limit_does_not_depend_on_the_tables(monkeypatch):
+    # a table entry counts the rule applications that built it, so a warm
+    # table trips the limit exactly as a cold one does
+    pres = slh2.Presentation("fresh-sl2", GROUP_GENS, slh2._group_rules(ORDER, True), ORDER)
+    terms = {tuple(pres.index[g] for g in ("u", "u", "y", "x")): HSeries.one(ORDER)}
+    assert pres.normal_form(terms) == group_algebra(ORDER, True).normal_form(terms)
+    for limit in (0, 5):
+        monkeypatch.setattr(slh2, "_MAX_REWRITE_STEPS", limit)
+        with pytest.raises(RuntimeError, match=rf"limit of {limit} rewrite steps "
+                                               r"at the word u\^2\*y\*x$"):
+            pres.normal_form(terms)
+    # a product names the word it normal-orders
+    monkeypatch.setattr(slh2, "_MAX_REWRITE_STEPS", 0)
+    with pytest.raises(RuntimeError, match=r"at the word u\^2\*y$"):
+        pres.gen("u") ** 2 * pres.gen("y")
 
 
 BUILDERS = {

@@ -106,7 +106,7 @@ def test_rewriting_matches_oscillator_reordering():
             p = sum(1 for g in key if g == 0)
             q = len(key) - p
             assert key == (0,) * p + (1,) * q, f"word {key} is not normal ordered"
-            assert series == e_os.coeff(p, q), (
+            assert series == e_os.terms.get((p, q)), (
                 f"word a^{p} abar^{q} of {word}: engine {series} vs direct")
             seen += 1
         direct = sum(1 for v in e_os.terms.values() if not v.is_zero())
@@ -244,7 +244,7 @@ def test_antipode_inverts_the_representation_matrices():
     # an antimap; applied as a map it fails from spin 1 on
     quo = group_algebra(8, True)
     antipode = letter_map(quo, antipode_images(quo), antihom=True)
-    for twice in (1, 2, 3):
+    for twice in (1, 2, 3, 4):
         d = dfunction(HalfInt(twice), 8)
         s = {key: antipode(e) for key, e in d.items()}
         weights = sorted({k for k, _ in d})
