@@ -583,7 +583,7 @@ def coupled_basis_suite(j1, j2, order):
     out["cg_orthogonal"] = c.transpose() * c == Matrix.identity(n, order)
     f = twist_matrix_oracle(j1, j2, order)
     b = f * c
-    binv = c.transpose() * twist_inverse(j1, j2, order)
+    binv = c.transpose() * f.inverse_unipotent()
     out["b_inverse"] = binv * b == Matrix.identity(n, order)
 
     # the coupled basis runs over the spins k ascending, weights ascending

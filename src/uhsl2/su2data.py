@@ -4,8 +4,9 @@ Clebsch-Gordan coefficients in the Condon-Shortley convention, Racah W and 6j
 coefficients, and the triangle coefficient nabla used by the symplecton
 product law.
 
-All values are RadicalSum (a single term q*sqrt(r) for every individual
-coefficient here), computed from the standard single-sum closed forms.
+All values are RadicalSum, the exact constants of the scalar layer (a single
+term q*sqrt(r) for every individual coefficient here), computed from the
+standard single-sum closed forms.
 """
 
 from fractions import Fraction
@@ -75,7 +76,7 @@ def _cgc_cached(j1t, j2t, jt, m1t, m2t):
         * factorial(j2p) * factorial(j2m),
         factorial((j1t + j2t + jt) // 2 + 1) * factorial(a) * factorial(b) * factorial(c),
         total)
-    return RadicalSum._new({r: Fraction(num, den)})
+    return RadicalSum._new({(0, r): num}, den, 0)
 
 
 def cgc(j1, j2, j, m1, m2, m=None):

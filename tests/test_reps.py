@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from uhsl2.scalar import HalfInt, HSeries, RadicalSum, sqrt_fraction, weights
+from uhsl2.scalar import HalfInt, HSeries, sqrt_fraction, weights
 from uhsl2.reps import (Matrix, cocycle_check, coupled_basis_suite,
                         exp_sigma_entry, flip_tensor, ohn_suite, qybe_check,
                         r_triangularity_check, spin_rep, twist_inverse,
                         twist_matrix_formula, twist_matrix_oracle, twist_symmetry_check,
                         twisted_hopf_suite, universal_r_rep, widx)
+from radical_oracle import coeff_terms, ref_mul, series
 
 H12 = HalfInt(1)
 H32 = HalfInt(3)
@@ -245,13 +246,8 @@ def test_each_exponential_is_built_once(monkeypatch):
 
 
 def _series_product(a, b):
-    """a*b by convolving the RadicalSum coefficient lists, cut at the order."""
-    ca, cb = a.coeffs, b.coeffs
-    out = [RadicalSum.zero() for _ in ca]
-    for p, x in enumerate(ca):
-        for q, y in enumerate(cb[:a.order + 1 - p]):
-            out[p + q] = out[p + q] + x * y
-    return HSeries(out, a.order)
+    """a*b by convolving the coefficient lists as test radicals, cut at the order."""
+    return series(ref_mul(coeff_terms(a), coeff_terms(b)), a.order)
 
 
 def _oracle_product(x, y):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from uhsl2.reps import Matrix
-from uhsl2.scalar import HSeries
+from uhsl2.scalar import HSeries, sqrt_fraction
 from uhsl2.slh2 import osc_algebra, plane_algebra
 from uhsl2.weyl import OscElement, WeylElement
 
@@ -51,6 +51,8 @@ def test_shared_laws(kind):
     assert x + 3 - 3 == x and 3 + x == x + 3 and 3 - x == -(x - 3)
     assert x.scale(2) == x + x == 2 * x == x * 2
     assert x.scale(h) == h * x == x * h
+    r2 = sqrt_fraction(2)  # a constant lifts to the element's order
+    assert x.scale(r2) == r2 * x == x * r2 == x.scale(HSeries.constant(r2, H))
     assert x ** 0 == 1 and x ** 0 == x.constant(1) and x ** 1 == x
     assert x ** 2 == x * x
     assert x.commutator(y) == -y.commutator(x)
