@@ -19,7 +19,7 @@ from .scalar import (SCALARS, AlgebraMap, HSeries, HalfInt, SeriesCombination,
 from .su2data import fact
 from .symplecton import osc_symplecton_poly
 
-_MAX_REWRITE_STEPS = 500000
+_MAX_REWRITE_DEPTH = 100
 _UNIT = {(0, 1): 1}     # the numerators of the series 1
 
 
@@ -40,7 +40,9 @@ class Presentation:
     `starts` lists where each block begins; _side_by_side sets it.
 
     A word is normal-ordered one letter at a time, and a product of elements
-    one block at a time; tables of both hold integer numerators.
+    one block at a time; tables of both hold the integer numerators of normal
+    forms.  Termination is not checked either: a rule set that does not
+    terminate nests table entries without bound, and _times_letter stops it.
     """
 
     def __init__(self, name, gens, rules, order):
@@ -60,55 +62,47 @@ class Presentation:
 
     def normal_form(self, terms):
         """Rewrite {word: HSeries} until no rule applies; returns a new dict.
-        Normal-ordering one word may take _MAX_REWRITE_STEPS rule applications."""
+        Raises RuntimeError if table entries nest deeper than _MAX_REWRITE_DEPTH."""
         nums, den = _over_one_denominator(terms)
         sums = {}
         for word, num in nums:
-            out, steps = self._block_word(word)
-            if steps > _MAX_REWRITE_STEPS:
-                self._step_limit(word)
-            for w, n in out:
+            for w, n in self._block_word(word):
                 _numerator_product(num, n, self.order, sums.setdefault(w, {}))
         return _series_of_sums(sums, den, self.order)
 
-    def _step_limit(self, word):
-        raise RuntimeError(
-            f"rewriting in {self.name} exceeded the step limit of "
-            f"{_MAX_REWRITE_STEPS} rewrite steps at the word "
-            f"{'*'.join(self.pretty_word(word))}")
-
-    def _times_word(self, terms, word):
+    def _times_word(self, terms, word, depth=0):
         """The normal words [(word, numerators)] times word, one letter at a
-        time, and the rule applications that took."""
-        order, steps = self.order, 0
+        time; depth counts the table entries under construction above."""
         for letter in word:
             sums = {}
             for w, num in terms:
-                out, n = self._times_letter(w, letter)
-                steps += n
-                for w2, n2 in out:
-                    _numerator_product(num, n2, order, sums.setdefault(w2, {}))
+                for w2, n2 in self._times_letter(w, letter, depth):
+                    _numerator_product(num, n2, self.order, sums.setdefault(w2, {}))
             terms = _nonzero(sums)
-        return terms, steps
+        return terms
 
-    def _times_letter(self, word, letter):
-        """The normal word times one letter: ([(word, numerators)], rule
-        applications).  Only the new last pair can need a rule; its
-        right-hand side goes onto word[:-1] one letter at a time.  Each such
-        product is built once, and counts the applications that built it, so
-        the step count does not depend on what the table holds."""
+    def _times_letter(self, word, letter, depth):
+        """The normal word times one letter, [(word, numerators)].  Only the
+        new last pair can need a rule; its right-hand side goes onto word[:-1]
+        one letter at a time.  Each such product is built once, one nesting
+        level below the entry that asks for it.  Every loop at one level is
+        finite, so a rule set that does not terminate nests without bound;
+        building past _MAX_REWRITE_DEPTH levels raises RuntimeError."""
         rhs = self.rules.get((word[-1], letter)) if word else None
         if rhs is None:
-            return [(word + (letter,), _UNIT)], 0
+            return [(word + (letter,), _UNIT)]
         got = self._letter_products.get((word, letter))
         if got is None:
-            sums, steps = {}, 1
+            if depth >= _MAX_REWRITE_DEPTH:
+                raise RuntimeError(
+                    f"rewriting in {self.name} exceeded the nesting depth limit of "
+                    f"{_MAX_REWRITE_DEPTH} at the word "
+                    f"{'*'.join(self.pretty_word(word + (letter,)))}")
+            sums = {}
             for rw, rc in rhs.items():
-                out, n = self._times_word([(word[:-1], rc.num)], rw)
-                steps += n
-                for w, num in out:
+                for w, num in self._times_word([(word[:-1], rc.num)], rw, depth + 1):
                     _numerator_product(num, _UNIT, self.order, sums.setdefault(w, {}))
-            got = self._letter_products[(word, letter)] = (_nonzero(sums), steps)
+            got = self._letter_products[(word, letter)] = _nonzero(sums)
         return got
 
     def block_product(self, terms1, terms2):
@@ -120,14 +114,11 @@ class Presentation:
         acc = {}
         for parts1, a in nums1:
             for parts2, b in nums2:
-                out, steps = [((), _numerator_product(a, b, order, {}))], 0
+                out = [((), _numerator_product(a, b, order, {}))]
                 for u1, u2 in zip(parts1, parts2):
-                    bws, cost = block_word(u1 + u2)
-                    steps += cost
+                    bws = block_word(u1 + u2)
                     out = [(w + bw, n if bn == _UNIT else _numerator_product(n, bn, order, {}))
                            for w, n in out for bw, bn in bws]
-                if steps > _MAX_REWRITE_STEPS:
-                    self._step_limit(sum(parts1 + parts2, ()))
                 for w, n in out:
                     sums = acc.setdefault(w, {})
                     for key, c in n.items():
@@ -144,8 +135,7 @@ class Presentation:
         return [([w[lo:hi] for lo, hi in zip(c, c[1:])], n) for (w, n), c in zip(nums, cuts)], den
 
     def _block_word(self, word):
-        """The normal form of a word, [(word, numerators)], and the rule
-        applications it took, built once; block_product asks for block words."""
+        """The normal form of a word, [(word, numerators)], built once."""
         got = self._block_words.get(word)
         if got is None:
             got = self._block_words[word] = self._times_word([((), _UNIT)], word)

@@ -1,5 +1,5 @@
-"""The rewriting engine against a naive reducer, its linearity, the
-message of its step limit, and the confluence of every presentation.
+"""The rewriting engine against a naive reducer, its linearity, its depth
+limit on runaway rule sets, and the confluence of every presentation.
 
 The reference reducer below is the plain leftmost-pair stack: it pops one
 (word, coefficient) at a time, rewrites the leftmost pair that has a rule and
@@ -7,7 +7,10 @@ never merges equal words.  It reads only the rule table of a presentation.
 """
 
 from fractions import Fraction
+import functools
+import operator
 import random
+import re
 
 import pytest
 
@@ -155,37 +158,106 @@ def test_block_product_matches_naive_reducer(name):
         assert (e1 * e2).terms == naive_normal_form(pres, raw_product(e1, e2)), name
 
 
+def fresh_group_algebra(order=ORDER):
+    """The quotient group presentation with empty tables."""
+    return slh2.Presentation("fresh-sl2", GROUP_GENS, slh2._group_rules(order, True), order)
+
+
+def group_word(*names):
+    return tuple(GROUP_GENS.index(g) for g in names)
+
+
 def test_step_limit_names_presentation_word_and_count(monkeypatch):
-    pres = group_algebra(ORDER, True)
-    terms = {tuple(pres.index[g] for g in ("u", "u", "y", "x")): HSeries.one(ORDER)}
-    monkeypatch.setattr(slh2, "_MAX_REWRITE_STEPS", 0)
+    # the limit bounds the nesting of table entries under construction: at
+    # 0 the first entry built trips, and u^2*y*x needs 4 levels
+    terms = {group_word("u", "u", "y", "x"): HSeries.one(ORDER)}
+    monkeypatch.setattr(slh2, "_MAX_REWRITE_DEPTH", 0)
+    pres = fresh_group_algebra()
     with pytest.raises(RuntimeError) as exc:
         pres.normal_form(terms)
     message = str(exc.value)
     assert pres.name in message
-    assert "step limit of 0 rewrite steps" in message
-    assert "at the word u^2*y*x" in message
+    assert "nesting depth limit of 0" in message
+    assert message.endswith("at the word u^2*y")
 
-    monkeypatch.setattr(slh2, "_MAX_REWRITE_STEPS", 5)
-    with pytest.raises(RuntimeError, match=r"limit of 5 rewrite steps at the word [xyuv^*0-9]+$"):
-        pres.normal_form(terms)
+    monkeypatch.setattr(slh2, "_MAX_REWRITE_DEPTH", 3)
+    with pytest.raises(RuntimeError, match=r"limit of 3 at the word [xyuv^*0-9]+$"):
+        fresh_group_algebra().normal_form(terms)
+    monkeypatch.setattr(slh2, "_MAX_REWRITE_DEPTH", 4)
+    assert fresh_group_algebra().normal_form(terms) == group_algebra(ORDER, True).normal_form(terms)
 
 
 def test_step_limit_does_not_depend_on_the_tables(monkeypatch):
-    # a table entry counts the rule applications that built it, so a warm
-    # table trips the limit exactly as a cold one does
-    pres = slh2.Presentation("fresh-sl2", GROUP_GENS, slh2._group_rules(ORDER, True), ORDER)
-    terms = {tuple(pres.index[g] for g in ("u", "u", "y", "x")): HSeries.one(ORDER)}
-    assert pres.normal_form(terms) == group_algebra(ORDER, True).normal_form(terms)
-    for limit in (0, 5):
-        monkeypatch.setattr(slh2, "_MAX_REWRITE_STEPS", limit)
-        with pytest.raises(RuntimeError, match=rf"limit of {limit} rewrite steps "
-                                               r"at the word u\^2\*y\*x$"):
-            pres.normal_form(terms)
-    # a product names the word it normal-orders
-    monkeypatch.setattr(slh2, "_MAX_REWRITE_STEPS", 0)
+    # an entry is built once, so a warm table nests no deeper than a cold
+    # one: it trips at no limit where a cold one passes, and the limit never
+    # changes a normal form
+    terms = {group_word("u", "u", "y", "x"): HSeries.one(ORDER)}
+    want = fresh_group_algebra().normal_form(terms)
+    default = slh2._MAX_REWRITE_DEPTH
+    passed = {}
+    for limit in range(6):
+        for warm_word in ((), ("u", "y"), ("u", "y", "x"), ("u", "u", "y", "x")):
+            monkeypatch.setattr(slh2, "_MAX_REWRITE_DEPTH", default)
+            pres = fresh_group_algebra()
+            pres.normal_form({group_word(*warm_word): HSeries.one(ORDER)})
+            monkeypatch.setattr(slh2, "_MAX_REWRITE_DEPTH", limit)
+            try:
+                assert pres.normal_form(terms) == want
+                passed[(limit, warm_word)] = True
+            except RuntimeError as err:
+                assert type(err) is RuntimeError and f"limit of {limit} at" in str(err)
+                passed[(limit, warm_word)] = False
+        assert passed[(limit, ("u", "u", "y", "x"))], "a table holding the word builds nothing"
+    for (limit, warm_word), ok in passed.items():
+        assert ok or not passed[(limit, ())], f"warmed by {warm_word}, trips at {limit}"
+    assert [passed[(limit, ())] for limit in range(6)] == [False] * 4 + [True] * 2
+    assert passed[(3, ("u", "y", "x"))]
+    # a product names the word it builds
+    monkeypatch.setattr(slh2, "_MAX_REWRITE_DEPTH", 0)
+    pres = fresh_group_algebra()
     with pytest.raises(RuntimeError, match=r"at the word u\^2\*y$"):
         pres.gen("u") ** 2 * pres.gen("y")
+
+
+ONE = HSeries.one(ORDER)
+# rule sets that do not terminate, on the letters a, b, with a word that
+# runs away: a cycle, and a rule that doubles each letter it moves
+RUNAWAYS = {
+    "cycle": ({(1, 0): {(0, 1): ONE}, (0, 1): {(1, 0): ONE}}, (1, 0)),
+    "growth": ({(1, 0): {(0, 0, 1, 1): ONE}}, (1,) * 4 + (0,) * 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNAWAYS))
+def test_runaway_rule_set_stops_at_the_depth_limit(name):
+    rules, word = RUNAWAYS[name]
+    fresh = lambda: slh2.Presentation(f"runaway-{name}", ("a", "b"), rules, ORDER)
+    calls = [lambda pres: pres.normal_form({word: ONE}),
+             lambda pres: functools.reduce(operator.mul, (pres.gen("ab"[i]) for i in word))]
+    if name == "cycle":
+        calls.append(lambda pres: pres.check_confluence())
+    else:
+        fresh().check_confluence()      # the one rule overlaps nothing
+    for call in calls:
+        with pytest.raises(RuntimeError) as exc:
+            call(fresh())
+        assert type(exc.value) is RuntimeError, "not a RecursionError"
+        assert re.fullmatch(rf"rewriting in runaway-{name} exceeded the nesting depth limit "
+                            rf"of {slh2._MAX_REWRITE_DEPTH} at the word [ab^*0-9]+",
+                            str(exc.value))
+
+
+@pytest.mark.parametrize("n", (7, 9))
+def test_long_words_normal_order_under_the_default_limit(n):
+    # y^2 u^n x nests n + 2 entries deep; the reference reducer is
+    # exponential here, so the checks are a cold table and products in both
+    # associations
+    pres = group_algebra(8, True)
+    terms = {group_word("y", "y", *("u",) * n, "x"): HSeries.one(8)}
+    got = pres.normal_form(terms)
+    assert got and got == fresh_group_algebra(8).normal_form(terms)
+    y2, un, x = pres.gen("y") ** 2, pres.gen("u") ** n, pres.gen("x")
+    assert ((y2 * un) * x).terms == got == (y2 * (un * x)).terms
 
 
 BUILDERS = {
