@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .scalar import HSeries, HalfInt, spins_up_to, weights, sqrt_fraction
+from .scalar import HSeries, HalfInt, spins_up_to, weights
 from . import reps
 from . import slh2
 from . import su2data
@@ -191,13 +191,12 @@ def suite_product_law(cfg):
         rows.append(_row("product-law", "calibration_table", "product-calibration",
                          params, False, checks["ratio_table"][1]))
         return rows
-    one = sqrt_fraction(Fraction(1))
     for (j, jp_, k), value in sorted(table.items(),
                                      key=lambda kv: (kv[0][0].twice,
                                                      kv[0][1].twice,
                                                      kv[0][2].twice)):
         p = {"j": str(j), "jp": str(jp_), "k": str(k)}
-        ok = (value == one) if cfg.strict else True
+        ok = (value == 1) if cfg.strict else True
         rows.append(_row("product-law", "calibration_ratio",
                          "product-calibration", p, ok, f"ratio = {value}"))
     return rows
@@ -283,7 +282,7 @@ def suite_properties(cfg):
             coeffs[(j, m)] = c
             target = target + weyl.h_symplecton(j, m, cfg.order).scale(c)
         try:
-            got = symplecton.decompose_twisted(target)
+            got = symplecton.decompose_twisted(target, weyl.h_symplecton)
         except RuntimeError as err:
             ok, detail = False, str(err)
             break

@@ -12,6 +12,7 @@ normal forms, and the two-variable generating functions.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalar import (AlgebraMap, HalfInt, HSeries, add_into, half_range,
                      spins_up_to, sqrt_fraction, weights)
@@ -19,8 +20,8 @@ from .su2data import bracket_coeff, cgc, fact, triangle_ok
 from .reps import exp_sigma_entry
 from .weyl import (OscElement, WeylElement, ad_j0, ad_jminus, ad_jplus,
                    classical_symplecton, decompose_symplecton_basis,
-                   exp_m_sigma, exp_m_sigma_osc, h_symplecton, j_minus,
-                   j_plus, j_zero, ladder_coeff, symplecton_pivot, to_oscillator)
+                   exp_m_sigma_osc, h_symplecton, j_minus, j_plus, j_zero,
+                   ladder_coeff, symplecton_pivot, to_oscillator)
 
 
 def symmetry_check(max_j, order=0):
@@ -164,13 +165,13 @@ def tensor_operator_check(max_j, order):
     return True, "adjoint ladder verified"
 
 
-def decompose_twisted(w):
-    """Expand a Weyl element over the twisted family, order by order in h.
+def decompose_twisted(w, member):
+    """Expand w over the twisted family member(k, mu, order), order by order in h.
 
-    Returns {(k, mu): HSeries}.  At each h-order the residue's h^t layer,
-    classical by construction, is decomposed at order 0 and the full twisted
-    representative is subtracted, so the expansion is exact when the residue
-    vanishes, which is asserted.
+    Returns {(k, mu): HSeries}.  Both letter pairs normal-order alike at h = 0,
+    so at each h-order the residue's h^t layer is decomposed as an order-0
+    Weyl element and the full family member is subtracted; the expansion is
+    exact when the residue vanishes, which is asserted.
     """
     order = w.order
     rest = w
@@ -184,7 +185,7 @@ def decompose_twisted(w):
         for (k, mu), c in decompose_symplecton_basis(layer).items():
             coeff = HSeries._new({(t, r): a for (_, r), a in c.num.items()}, c.den, order)
             add_into(out, (k, mu), coeff)
-            rest = rest - h_symplecton(k, mu, order).scale(coeff)
+            rest = rest - member(k, mu, order).scale(coeff)
     if not rest.is_zero():
         raise RuntimeError("twisted-basis expansion left a residue")
     return out
@@ -195,35 +196,25 @@ def _spin_pairs(max_j):
     return [(j, jp_) for j in spins for jp_ in spins]
 
 
-def _pair_tables(j, jp_, order):
+def _twist_conjugation(m, order):
+    """c_m(X) = exp(-m s) X exp(m s) in the oscillator letters: as exp(m s) =
+    (1 - h A^2)^m and [Abar, A] = 1 - h A^2, it sends Abar to Abar - 2m h A."""
+    A = OscElement.monomial(1, 0, order)
+    shift = A.scale(HSeries.h_power(1, order, (2 * m).as_int()))
+    return AlgebraMap({0: A, 1: OscElement.monomial(0, 1, order) - shift})
+
+
+def _pair_tables(j, jp_, member, order):
     """Every product P~_j^m P~_j'^m' of one spin pair, and every dressed
-    classical product P_j^m P_j'^n' exp((m+n') s), both keyed by the weights."""
+    classical product P_j^m P_j'^n' exp((m+n') s) = P~_j^m c_m(P~_j'^n'),
+    both keyed by the weights."""
     products, dressed = {}, {}
     for m in weights(j):
+        c_m = _twist_conjugation(m, order)
         for mp in weights(jp_):
-            products[(m, mp)] = h_symplecton(j, m, order) * h_symplecton(jp_, mp, order)
-            dressed[(m, mp)] = (classical_symplecton(j, m, order)
-                                * classical_symplecton(jp_, mp, order)) \
-                * exp_m_sigma(m + mp, order)
+            products[(m, mp)] = member(j, m, order) * member(jp_, mp, order)
+            dressed[(m, mp)] = member(j, m, order) * c_m(member(jp_, mp, order))
     return products, dressed
-
-
-def product_formula_component(j, m, jp_, mp, k, mu, order):
-    """Predicted coefficient of the (k, mu) component of the product.
-
-    The twisted product law: the inverse twist redistributes the second
-    weight, then the classical coupling contracts,
-      coefficient = <k|j|j'> <j' n'| exp(m s) |j' m'> C(j', j, k; n', m)
-    with n' = mu - m.
-    """
-    j, m, jp_, mp = (HalfInt.of(x) for x in (j, m, jp_, mp))
-    k, mu = HalfInt.of(k), HalfInt.of(mu)
-    np_ = mu - m
-    if abs(np_.twice) > jp_.twice:
-        return HSeries.zero(order)
-    entry = exp_sigma_entry(jp_, np_, m, mp, order)
-    c = cgc(jp_, j, k, np_, m)
-    return entry.scale(bracket_coeff(k, j, jp_) * c)
 
 
 def _intermediate_holds(jp_, m, mp, lhs, dressed, order):
@@ -232,7 +223,7 @@ def _intermediate_holds(jp_, m, mp, lhs, dressed, order):
 
     P~_j^m P~_j'^m' = sum_n' <j' n'|exp(m s)|j' m'> P_j^m P_j'^n' exp((n'+m) s).
     """
-    rhs = WeylElement.zero(order)
+    rhs = OscElement.zero(order)
     for np_ in half_range(mp, jp_):
         entry = exp_sigma_entry(jp_, np_, m, mp, order)
         if entry.is_zero():
@@ -270,7 +261,7 @@ def _collapse(j, jp_, products, dressed, order):
     """
     for l in weights(j):
         for lp in weights(jp_):
-            lhs = WeylElement.zero(order)
+            lhs = OscElement.zero(order)
             for mp in half_range(lp, jp_):
                 entry = exp_sigma_entry(jp_, mp, -l, lp, order)
                 if entry.is_zero():
@@ -284,17 +275,23 @@ def _collapse(j, jp_, products, dressed, order):
 def _pair_ratios(j, jp_, expansions, order):
     """Reduced-coupling calibration constants of one spin pair, {(j, j', k): r}.
 
-    For every k the oracle coefficient divided by the predicted coefficient
-    must be one and the same constant for all weights.  Raises ValueError if
-    any ratio is inconsistent or h-dependent.
+    The twisted product law predicts the (k, mu) coefficient of P~_j^m P~_j'^m'
+    as <k|j|j'> <j' n'| exp(m s) |j' m'> C(j', j, k; n', m) with n' = mu - m.
+    For every k the expanded coefficient divided by the predicted one must be
+    one constant for all weights; a ValueError reports an inconsistent or
+    h-dependent ratio.
     """
+    zero = HSeries.zero(order)
     table = {}
     for k in half_range(HalfInt(abs(j.twice - jp_.twice)), j + jp_):
+        bracket = bracket_coeff(k, j, jp_)
         ratio = None
         for (m, mp), decomp in expansions.items():
             for mu in weights(k):
-                f = product_formula_component(j, m, jp_, mp, k, mu, order)
-                o = decomp.get((k, mu), HSeries.zero(order))
+                np_ = mu - m
+                f = zero if abs(np_.twice) > jp_.twice else \
+                    exp_sigma_entry(jp_, np_, m, mp, order).scale(bracket * cgc(jp_, j, k, np_, m))
+                o = decomp.get((k, mu), zero)
                 if f.is_zero():
                     if not o.is_zero():
                         raise ValueError(
@@ -359,16 +356,19 @@ def _verdict(bad, good):
 def product_law_suite(max_j, order):
     """All product-law layers for spins up to max_j, in one pass over spin pairs.
 
-    Each pair's products, their exact twisted-basis expansions and its
-    dressed classical products are built once and every layer is read off
-    those three tables.  Returns ({check: (ok, detail)}, ratio table), the
-    table being None when its layer fails.
+    Each pair's products, their exact expansions and its dressed classical
+    products are built once, in the oscillator letters, where every table is
+    a polynomial in h, and every layer is read off those three tables.
+    Returns ({check: (ok, detail)}, ratio table), the table being None when
+    its layer fails.
     """
+    member = lru_cache(maxsize=None)(osc_symplecton_poly)
+
     bad_product = bad_support = bad_collapse = ratio_error = None
     table, pairing = {}, []
     for j, jp_ in _spin_pairs(max_j):
-        products, dressed = _pair_tables(j, jp_, order)
-        expansions = {key: decompose_twisted(w) for key, w in products.items()}
+        products, dressed = _pair_tables(j, jp_, member, order)
+        expansions = {key: decompose_twisted(w, member) for key, w in products.items()}
         for (m, mp), w in products.items():
             if not _intermediate_holds(jp_, m, mp, w, dressed, order):
                 bad_product = f"({j},{m};{jp_},{mp})"

@@ -240,7 +240,7 @@ def test_14_property_suites():
                 continue
             coeffs[(j, m)] = c
             target = target + h_symplecton(j, m, ORDER).scale(c)
-        got = {k: v for k, v in decompose_twisted(target).items()
+        got = {k: v for k, v in decompose_twisted(target, h_symplecton).items()
                if not v.is_zero()}
         want = {k: HSeries.constant(v, ORDER) for k, v in coeffs.items()}
         assert got == want, f"decomposition round trip failed on trial {trial}"

@@ -64,6 +64,14 @@ REPS_TOWER_REPORT = (
 WEYL_ORDER_12_REPORT = (
     "verify --suite product-law --suite h-symplecton -H 12 --format json",
     "93c4306315ca59343afefdc1510937cafc18068a9cfe8715eb2d944cf9f0e467")
+# the product law at orders below h^(2J), where its expansions hold only
+# modulo h^(N+1)
+PRODUCT_LAW_ORDER_0_REPORT = (
+    "verify --suite product-law -H 0 --format json",
+    "74f09c6c4a9d74d4447631c46bd3b18607a451c3fd4ed60319903972c0ac3da3")
+PRODUCT_LAW_ORDER_2_REPORT = (
+    "verify --suite product-law -H 2 --format json",
+    "95f0aa8bbcda365f0ce1149ddf5418ec028b6efb43f70bf641e96f17830d5cc8")
 # the hypergeometric closed form up to spin 4 and the exchange-matrix
 # relations; recorded before the closed form divided its polynomials as series
 SYMPLECTON_SLH2_REPORT = (
@@ -80,7 +88,8 @@ def test_readme_compute_lines_are_pinned():
 
 @pytest.mark.parametrize("line, digest", [*README_COMPUTE.items(),
                                           *LARGER_COMPUTE.items(), REPS_TOWER_REPORT,
-                                          WEYL_ORDER_12_REPORT, SYMPLECTON_SLH2_REPORT])
+                                          WEYL_ORDER_12_REPORT, PRODUCT_LAW_ORDER_0_REPORT,
+                                          PRODUCT_LAW_ORDER_2_REPORT, SYMPLECTON_SLH2_REPORT])
 def test_compute_output_bytes(capsys, line, digest):
     code, out = run(capsys, *shlex.split(line))
     assert code == 0
@@ -155,9 +164,9 @@ def test_product_law_expands_each_product_once(monkeypatch):
     calls = []
     expand = symplecton.decompose_twisted
 
-    def counted(w):
+    def counted(w, member):
         calls.append(w)
-        return expand(w)
+        return expand(w, member)
 
     monkeypatch.setattr(symplecton, "decompose_twisted", counted)
     rows = suite_product_law(RunConfig(order=2, max_spin=HalfInt(2)))

@@ -8,13 +8,13 @@ import pytest
 from uhsl2.reps import exp_sigma_entry
 from uhsl2.scalar import (AlgebraMap, HSeries, HalfInt, RadicalSum, half_range,
                           spins_up_to, sqrt_fraction, weights)
-from uhsl2.symplecton import (decompose_twisted, generating_function_check,
+from uhsl2.symplecton import (_twist_conjugation, decompose_twisted, generating_function_check,
                               generator_reconstruction_check, h_symplecton_forms_check,
                               hypergeometric_form, osc_symplecton_poly, product_law_suite,
                               symmetry_check, tensor_operator_check,
                               weight_one_commutator_check)
-from uhsl2.weyl import (OscElement, WeylElement, classical_symplecton, exp_m_sigma_osc,
-                        h_symplecton)
+from uhsl2.weyl import (OscElement, WeylElement, classical_symplecton, exp_m_sigma,
+                        exp_m_sigma_osc, h_symplecton, to_oscillator)
 
 
 def test_reflection_symmetry():
@@ -63,8 +63,34 @@ def test_decompose_twisted_roundtrip():
             want[(j, m)] = want.get((j, m), HSeries.zero(H)) + coeff
             total = total + h_symplecton(j, m, H).scale(coeff)
         want = {k: v for k, v in want.items() if not v.is_zero()}
-        got = decompose_twisted(total)
+        got = decompose_twisted(total, h_symplecton)
         assert got == want, f"round trip failed for picks {picks}"
+
+
+def test_oscillator_and_weyl_letters_agree():
+    # the product law runs over the oscillator family; at max spin 3/2 its
+    # expansions and dressed products are those of the Weyl letters
+    H = 4
+    osc = to_oscillator(H)
+    labels = [(j, m) for j in spins_up_to(HalfInt(3), HalfInt(1)) for m in weights(j)]
+    family = {}
+
+    def member(j, m, order):
+        if (j, m) not in family:
+            family[(j, m)] = osc_symplecton_poly(j, m, order)
+        return family[(j, m)]
+
+    for j, m in labels:
+        c_m = _twist_conjugation(m, H)
+        for jp_, mp in labels:
+            got = decompose_twisted(member(j, m, H) * member(jp_, mp, H), member)
+            want = decompose_twisted(h_symplecton(j, m, H) * h_symplecton(jp_, mp, H),
+                                     h_symplecton)
+            assert got == want, f"expansions differ at ({j},{m};{jp_},{mp})"
+            dressed = member(j, m, H) * c_m(member(jp_, mp, H))
+            weyl = classical_symplecton(j, m, H) * classical_symplecton(jp_, mp, H) \
+                * exp_m_sigma(m + mp, H)
+            assert dressed == osc(weyl), f"dressed products differ at ({j},{m};{jp_},{mp})"
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +211,8 @@ def test_product_oracle_classical_limit():
     # a * abar = P(1,0)/sqrt(2) - 1/2 classically; the twisted correction
     # enters only at order h and the scalar piece stays put.
     half = HalfInt(1)
-    decomp = decompose_twisted(h_symplecton(half, half, 3) * h_symplecton(half, -half, 3))
+    decomp = decompose_twisted(h_symplecton(half, half, 3) * h_symplecton(half, -half, 3),
+                               h_symplecton)
     c_one = decomp[(HalfInt(2), HalfInt(0))]
     c_zero = decomp[(HalfInt(0), HalfInt(0))]
     assert c_one == HSeries.constant(sqrt_fraction(Fraction(1, 2)), 3), \
