@@ -156,29 +156,15 @@ def suite_h_symplecton(cfg):
     return rows
 
 
+_EXAMPLE_REFS = {"twist_exponential_in_oscillators": "twist-exponential",
+                 "weight_one_commutators": "weight-one-commutators"}
+
+
 def suite_examples(cfg):
     params = {"order": str(cfg.order)}
-    rows = []
-    lhs = weyl.to_oscillator(cfg.order)(weyl.exp_m_sigma(1, cfg.order))
-    rhs = (weyl.OscElement.one(cfg.order)
-           - weyl.OscElement.monomial(2, 0, cfg.order,
-                                      HSeries.h_power(1, cfg.order)))
-    rows.append(_row("examples", "twist_exponential_in_oscillators",
-                     "twist-exponential", params, lhs == rhs,
-                     "exp(s) = 1 - h a^2 in the deformed letters"))
-    ok, detail = symplecton.weight_one_commutator_check(cfg.order)
-    rows.append(_row("examples", "weight_one_commutators",
-                     "weight-one-commutators", params, ok, detail))
-    recon = symplecton.generator_reconstruction_check(cfg.order)
-    for name in ("j0", "jminus", "jplus_inverse_dressing", "dressing_is_exp_sigma"):
-        rows.append(_row("examples", f"reconstruction_{name}",
-                         "generator-reconstruction", params, recon[name]))
-    rows.append(_row("examples", "reconstruction_jplus_direct_dressing",
-                     "generator-reconstruction", params,
-                     not recon["jplus_direct_dressing"],
-                     "the raising generator needs the inverse dressing"
-                     " factor; the uninverted form provably fails"))
-    return rows
+    return [_row("examples", name, _EXAMPLE_REFS.get(name, "generator-reconstruction"),
+                 params, ok, detail)
+            for name, (ok, detail) in symplecton.examples_check(cfg.order).items()]
 
 
 def suite_product_law(cfg):

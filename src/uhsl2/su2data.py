@@ -88,10 +88,9 @@ def cgc(j1, j2, j, m1, m2, m=None):
     return _cgc_cached(j1.twice, j2.twice, j.twice, m1.twice, m2.twice)
 
 
-@lru_cache(maxsize=None)
-def _sixj_cached(at, bt, ct, dt, et, ft):
-    a, b, c = HalfInt(at), HalfInt(bt), HalfInt(ct)
-    d, e, f = HalfInt(dt), HalfInt(et), HalfInt(ft)
+def sixj(a, b, c, d, e, f):
+    """Wigner 6j symbol {a b c; d e f}."""
+    a, b, c, d, e, f = (HalfInt.of(x) for x in (a, b, c, d, e, f))
     triads = [(a, b, c), (a, e, f), (d, b, f), (d, e, c)]
     if not all(triangle_ok(*t) for t in triads):
         return RadicalSum.zero()
@@ -110,12 +109,6 @@ def _sixj_cached(at, bt, ct, dt, et, ft):
             term /= fact(s - t)
         total += -term if t % 2 else term
     return sqrt_fraction(pre2) * total
-
-
-def sixj(a, b, c, d, e, f):
-    """Wigner 6j symbol {a b c; d e f}."""
-    vals = [HalfInt.of(x) for x in (a, b, c, d, e, f)]
-    return _sixj_cached(*(v.twice for v in vals))
 
 
 def racah_w(a, b, c, d, e, f):

@@ -19,9 +19,8 @@ from .scalar import (AlgebraMap, HalfInt, HSeries, add_into, half_range,
 from .su2data import bracket_coeff, cgc, fact, triangle_ok
 from .reps import exp_sigma_entry
 from .weyl import (OscElement, WeylElement, ad_j0, ad_jminus, ad_jplus,
-                   classical_symplecton, decompose_symplecton_basis,
-                   exp_m_sigma_osc, h_symplecton, j_minus, j_plus, j_zero,
-                   ladder_coeff, symplecton_pivot, to_oscillator)
+                   classical_symplecton, exp_m_sigma, exp_m_sigma_osc, h_symplecton,
+                   j_minus, j_plus, j_zero, ladder_coeff, symplecton_pivot, to_oscillator)
 
 
 def symmetry_check(max_j, order=0):
@@ -165,29 +164,46 @@ def tensor_operator_check(max_j, order):
     return True, "adjoint ladder verified"
 
 
-def decompose_twisted(w, member):
-    """Expand w over the twisted family member(k, mu, order), order by order in h.
+def _layer_top(w, t):
+    """The top monomial (degree, p, q) of a^p abar^q among the coefficients of
+    w with valuation t: highest degree, then highest power of the first
+    letter; None when there is none."""
+    return max(((p + q, p, q) for (p, q), c in w.terms.items() if c.valuation() == t),
+               default=None)
 
-    Returns {(k, mu): HSeries}.  Both letter pairs normal-order alike at h = 0,
-    so at each h-order the residue's h^t layer is decomposed as an order-0
-    Weyl element and the full family member is subtracted; the expansion is
-    exact when the residue vanishes, which is asserted.
+
+def decompose_twisted(w, member):
+    """Expand w over the family member(k, mu, order), order by order in h.
+
+    Returns {(k, mu): HSeries}.  At h = 0 every family here is the classical
+    one, so member (k, mu) has the single top monomial a^(k+mu) abar^(k-mu),
+    with a constant coefficient, and its h^s part lands in h^(t+s) and above.
+    For t = 0 .. order the residue's h^t layer is therefore cleared from its
+    top monomial down, without touching a layer already cleared.  A member
+    that lacks its top monomial, or a step that does not lower the layer's
+    top monomial, raises RuntimeError.
     """
     order = w.order
     rest = w
     out = {}
     for t in range(order + 1):
-        layer = WeylElement({key: HSeries._make({(0, r): a for (i, r), a in c.num.items()
-                                                 if i == t}, c.den, 0)
-                             for key, c in rest.terms.items()}, 0)
-        if layer.is_zero():
-            continue
-        for (k, mu), c in decompose_symplecton_basis(layer).items():
-            coeff = HSeries._new({(t, r): a for (_, r), a in c.num.items()}, c.den, order)
+        top = _layer_top(rest, t)
+        while top is not None:
+            _, p, q = top
+            k, mu = HalfInt(p + q), HalfInt(p - q)
+            m = member(k, mu, order)
+            pivot = m.terms.get((p, q))
+            if pivot is None or pivot.valuation() != 0:
+                raise RuntimeError(f"member ({k}, {mu}) lacks its top monomial a^{p} abar^{q}")
+            coeff = HSeries.h_power(t, order, rest.terms[(p, q)].coeff(t) * pivot.at_h0().invert())
             add_into(out, (k, mu), coeff)
-            rest = rest - member(k, mu, order).scale(coeff)
-    if not rest.is_zero():
-        raise RuntimeError("twisted-basis expansion left a residue")
+            rest = rest - m.scale(coeff)
+            below = _layer_top(rest, t)
+            if below is not None and below >= top:
+                raise RuntimeError(f"subtracting member ({k}, {mu}) did not lower the h^{t} "
+                                   f"layer's top monomial a^{p} abar^{q}: a^{below[1]} "
+                                   f"abar^{below[2]} is left")
+            top = below
     return out
 
 
@@ -406,47 +422,45 @@ def product_law_suite(max_j, order):
     return out, table
 
 
-def weight_one_commutator_check(order):
-    """Commutators of the three weight-one members close on themselves."""
-    t1 = osc_symplecton_poly(1, 1, order)
-    t0 = osc_symplecton_poly(1, 0, order)
-    tm = osc_symplecton_poly(1, -1, order)
+def examples_check(order):
+    """Verdicts of the explicit low-spin identities, {check: (ok, detail)}.
+
+    The weight-one family T_1, T_0, T_-1 and its dressing factor 1 - h T_1
+    are built once.  Their commutators close on the family.  The weight and
+    lowering generators carry the dressing factor directly; for the raising
+    generator only the inverse of that factor works, and the inverse equals
+    exp(-s).  The uninverted form is checked to fail, so its failure stays
+    visible.
+    """
+    t1, t0, tm = (osc_symplecton_poly(1, m, order) for m in (1, 0, -1))
     h1 = HSeries.h_power(1, order)
     one = OscElement.one(order)
     r8 = HSeries.constant(sqrt_fraction(Fraction(8)), order)
     dress = one - t1.scale(h1)
-    ok = (t0.commutator(t1) == (t1 * dress).scale(r8)
-          and t0.commutator(tm) == -(tm * dress).scale(r8)
-          and t1.commutator(tm) == -(dress * t0).scale(r8))
-    return ok, "weight-one commutators close" if ok else "weight-one commutators fail"
-
-
-def generator_reconstruction_check(order):
-    """The three algebra generators in terms of the weight-one family.
-
-    The weight and lowering generators carry the dressing factor
-    (1 - h T_1) directly; for the raising generator only the inverse of
-    that factor works, and the inverse equals exp(-s).  Both variants are
-    reported so the failure of the uninverted form stays visible.
-    """
-    t1 = osc_symplecton_poly(1, 1, order)
-    t0 = osc_symplecton_poly(1, 0, order)
-    tm = osc_symplecton_poly(1, -1, order)
-    h1 = HSeries.h_power(1, order)
-    one = OscElement.one(order)
-    dress = one - t1.scale(h1)
-
     osc = to_oscillator(order)
-    out = {}
-    out["j0"] = osc(j_zero(order)) == t0.scale(sqrt_fraction(Fraction(1, 2)))
-    out["jminus"] = osc(j_minus(order)) == (tm * dress).scale(Fraction(1, 2))
     jplus = osc(j_plus(order))
-    out["jplus_direct_dressing"] = jplus == (t1 * dress).scale(Fraction(-1, 2))
-    out["jplus_inverse_dressing"] = \
-        jplus == (t1 * exp_m_sigma_osc(-1, order)).scale(Fraction(-1, 2))
-    # the dressing factor itself is the twist exponential
-    out["dressing_is_exp_sigma"] = dress == exp_m_sigma_osc(1, order)
-    return out
+
+    closes = (t0.commutator(t1) == (t1 * dress).scale(r8)
+              and t0.commutator(tm) == -(tm * dress).scale(r8)
+              and t1.commutator(tm) == -(dress * t0).scale(r8))
+    return {
+        "twist_exponential_in_oscillators": (
+            osc(exp_m_sigma(1, order)) == one - OscElement.monomial(2, 0, order, h1),
+            "exp(s) = 1 - h a^2 in the deformed letters"),
+        "weight_one_commutators": (
+            closes, "weight-one commutators close" if closes else "weight-one commutators fail"),
+        "reconstruction_j0": (
+            osc(j_zero(order)) == t0.scale(sqrt_fraction(Fraction(1, 2))), ""),
+        "reconstruction_jminus": (
+            osc(j_minus(order)) == (tm * dress).scale(Fraction(1, 2)), ""),
+        "reconstruction_jplus_inverse_dressing": (
+            jplus == (t1 * exp_m_sigma_osc(-1, order)).scale(Fraction(-1, 2)), ""),
+        "reconstruction_dressing_is_exp_sigma": (dress == exp_m_sigma_osc(1, order), ""),
+        "reconstruction_jplus_direct_dressing": (
+            jplus != (t1 * dress).scale(Fraction(-1, 2)),
+            "the raising generator needs the inverse dressing factor;"
+            " the uninverted form provably fails"),
+    }
 
 
 def _graded_power(base, n, one):

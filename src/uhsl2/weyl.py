@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .scalar import (SCALARS, AlgebraMap, HalfInt, HSeries, SeriesCombination,
-                     add_into, as_series, normal_product, sqrt_fraction)
+                     as_series, normal_product, sqrt_fraction)
 from .su2data import fact
 
 
@@ -72,9 +72,6 @@ class _NormalPoly(SeriesCombination):
     @staticmethod
     def letters(key):
         return (0,) * key[0] + (1,) * key[1]
-
-    def max_degree(self):
-        return max((p + q for p, q in self.terms), default=None)
 
     def _str_names(self):
         raise NotImplementedError
@@ -248,29 +245,6 @@ def h_symplecton(j, m, order):
 @lru_cache(maxsize=None)
 def _h_symplecton(jt, mt, order):
     return classical_symplecton(HalfInt(jt), HalfInt(mt), order) * exp_m_sigma(HalfInt(mt), order)
-
-
-def decompose_symplecton_basis(w):
-    """Expand a Weyl element exactly over the classical spin basis.
-
-    Returns {(j, m): HSeries} with HalfInt keys.  Works degree by degree:
-    the top monomials of the input can only come from basis elements of the
-    same top degree, whose leading coefficients are single radicals.
-    """
-    order = w.order
-    rest = w
-    out = {}
-    while not rest.is_zero():
-        d = rest.max_degree()
-        layer = [(p, q) for (p, q) in rest.terms if p + q == d]
-        for (p, q) in sorted(layer):
-            j, m = HalfInt(p + q), HalfInt(p - q)
-            c = rest.terms[(p, q)] * symplecton_pivot(j, m).invert()
-            add_into(out, (j, m), c)
-            rest = rest - classical_symplecton(j, m, order).scale(c)
-        if not rest.is_zero() and rest.max_degree() >= d:
-            raise RuntimeError("basis elimination failed to reduce the degree")
-    return out
 
 
 def ad_j0(t):

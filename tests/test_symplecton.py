@@ -8,11 +8,10 @@ import pytest
 from uhsl2.reps import exp_sigma_entry
 from uhsl2.scalar import (AlgebraMap, HSeries, HalfInt, RadicalSum, half_range,
                           spins_up_to, sqrt_fraction, weights)
-from uhsl2.symplecton import (_twist_conjugation, decompose_twisted, generating_function_check,
-                              generator_reconstruction_check, h_symplecton_forms_check,
+from uhsl2.symplecton import (_twist_conjugation, decompose_twisted, examples_check,
+                              generating_function_check, h_symplecton_forms_check,
                               hypergeometric_form, osc_symplecton_poly, product_law_suite,
-                              symmetry_check, tensor_operator_check,
-                              weight_one_commutator_check)
+                              symmetry_check, tensor_operator_check)
 from uhsl2.weyl import (OscElement, WeylElement, classical_symplecton, exp_m_sigma,
                         exp_m_sigma_osc, h_symplecton, to_oscillator)
 
@@ -65,6 +64,29 @@ def test_decompose_twisted_roundtrip():
         want = {k: v for k, v in want.items() if not v.is_zero()}
         got = decompose_twisted(total, h_symplecton)
         assert got == want, f"round trip failed for picks {picks}"
+
+
+def _tilted(k, mu, order):
+    """h_symplecton with an extra a^(k+mu+1) abar^(k-mu-1) when k - mu > 0."""
+    p, q = (k + mu).as_int(), (k - mu).as_int()
+    out = h_symplecton(k, mu, order)
+    return out + WeylElement.monomial(p + 1, q - 1, order) if q else out
+
+
+def _headless(k, mu, order):
+    """h_symplecton without its top monomial a^(k+mu) abar^(k-mu)."""
+    top = ((k + mu).as_int(), (k - mu).as_int())
+    return WeylElement({key: c for key, c in h_symplecton(k, mu, order).terms.items()
+                        if key != top}, order)
+
+
+@pytest.mark.parametrize("family, message", [(_tilted, "did not lower"),
+                                             (_headless, "lacks its top monomial")])
+def test_decompose_twisted_rejects_a_malformed_family(family, message):
+    # P_2^0 + P_1^1: the first step peels a^2 abar^2 with the member (2, 0)
+    w = h_symplecton(2, 0, 3) + h_symplecton(1, 1, 3)
+    with pytest.raises(RuntimeError, match=rf"member \(2, 0\) {message}"):
+        decompose_twisted(w, family)
 
 
 def test_oscillator_and_weyl_letters_agree():
@@ -181,18 +203,20 @@ def test_scalar_pairing(law_to_spin_one):
 
 
 def test_weight_one_commutators():
-    ok, detail = weight_one_commutator_check(5)
+    ok, detail = examples_check(5)["weight_one_commutators"]
     assert ok, detail
 
 
 def test_generator_reconstruction_variants():
-    got = generator_reconstruction_check(6)
-    assert got["j0"], "weight generator reconstruction fails"
-    assert got["jminus"], "lowering generator reconstruction fails"
-    assert got["dressing_is_exp_sigma"], "dressing factor is not the twist exponential"
-    assert got["jplus_inverse_dressing"], \
+    got = {name: ok for name, (ok, _) in examples_check(6).items()}
+    assert got["reconstruction_j0"], "weight generator reconstruction fails"
+    assert got["reconstruction_jminus"], "lowering generator reconstruction fails"
+    assert got["reconstruction_dressing_is_exp_sigma"], \
+        "dressing factor is not the twist exponential"
+    assert got["reconstruction_jplus_inverse_dressing"], \
         "raising generator needs the inverse dressing factor"
-    assert not got["jplus_direct_dressing"], \
+    # this verdict passes when the uninverted form fails
+    assert got["reconstruction_jplus_direct_dressing"], \
         "direct dressing unexpectedly works for the raising generator"
 
 

@@ -7,9 +7,9 @@ import pytest
 
 from uhsl2.scalar import AlgebraMap, HalfInt, HSeries, RadicalSum, sqrt_fraction, weights
 from uhsl2.su2data import fact
+from uhsl2.symplecton import decompose_twisted
 from uhsl2.weyl import (OscElement, WeylElement, ad_j0,
-                        ad_jminus, ad_jplus, classical_symplecton,
-                        decompose_symplecton_basis, exp_m_sigma,
+                        ad_jminus, ad_jplus, classical_symplecton, exp_m_sigma,
                         exp_m_sigma_osc, h_symplecton,
                         j_minus, j_plus, j_zero, ladder_coeff,
                         symplecton_pivot, to_oscillator)
@@ -219,12 +219,12 @@ def test_decompose_symplecton_basis():
                 continue
             picks[(j, m)] = picks.get((j, m), HSeries.zero(H)) + c
             combo = combo + classical_symplecton(j, m, H).scale(c)
-        got = decompose_symplecton_basis(combo)
+        got = decompose_twisted(combo, classical_symplecton)
         picks = {k: v for k, v in picks.items() if not v.is_zero()}
         assert got == picks
     # and the reconstruction of an arbitrary element is exact
     w = WeylElement({(2, 1): HSeries.h_power(1, H), (0, 1): HSeries.one(H)}, H)
-    parts = decompose_symplecton_basis(w)
+    parts = decompose_twisted(w, classical_symplecton)
     back = WeylElement.zero(H)
     for (j, m), c in parts.items():
         back = back + classical_symplecton(j, m, H).scale(c)
