@@ -44,7 +44,7 @@ def _row(suite, check, ref, params, ok, detail=""):
 
 
 def _spin_grid(lim):
-    spins = spins_up_to(lim, HALF)
+    spins = spins_up_to(lim)
     return [(j1, j2) for j1 in spins for j2 in spins]
 
 
@@ -95,10 +95,10 @@ def suite_coupled_basis(cfg):
 def suite_recoupling(cfg):
     rows = []
     lim = cfg.product_spin
-    for a in spins_up_to(lim, HALF):
-        for b in spins_up_to(lim, HALF):
-            for c in spins_up_to(lim, HALF):
-                for e in spins_up_to(lim, HALF):
+    for a in spins_up_to(lim):
+        for b in spins_up_to(lim):
+            for c in spins_up_to(lim):
+                for e in spins_up_to(lim):
                     ok, ncases = su2data.verify_racah_identity(a, b, c, e)
                     if ncases == 0:
                         continue
@@ -111,7 +111,7 @@ def suite_recoupling(cfg):
 
 def suite_ohn(cfg):
     rows = []
-    for j in spins_up_to(cfg.max_spin, HALF):
+    for j in spins_up_to(cfg.max_spin):
         params = {"j": str(j)}
         for name, ok in reps.ohn_suite(j, cfg.order).items():
             rows.append(_row("ohn", name, "hyperbolic-presentation", params, ok))
@@ -120,7 +120,7 @@ def suite_ohn(cfg):
 
 def suite_symplecton(cfg):
     rows = []
-    for j in spins_up_to(cfg.max_spin, HALF):
+    for j in spins_up_to(cfg.max_spin):
         params = {"j": str(j)}
         ok = all(weyl.classical_symplecton(j, m, 0, "A")
                  == weyl.classical_symplecton(j, m, 0, "B") for m in weights(j))
@@ -131,7 +131,7 @@ def suite_symplecton(cfg):
                      symplecton.symmetry_check(cfg.max_spin)))
     ok = True
     detail = ""
-    for j in spins_up_to(cfg.max_spin, HALF):
+    for j in spins_up_to(cfg.max_spin):
         for m in weights(j):
             if m > 0:
                 continue
@@ -219,14 +219,14 @@ def suite_dfunctions(cfg):
     rows.append(_row("dfunctions", "fundamental_equals_letter_matrix",
                      "dfun-fundamental", params, ok))
     # these spins cover every plane basis the suite builds
-    for j in spins_up_to(cfg.product_spin, HALF):
+    for j in spins_up_to(cfg.product_spin):
         p = {"j": str(j), "order": str(cfg.order)}
         ok, detail = slh2.plane_forms_check(j, cfg.order)
         if ok:
             ok, detail = slh2.dfunction_routes_agree(j, cfg.order), ""
         rows.append(_row("dfunctions", "plane_and_oscillator_routes_agree",
                          "dfun-two-routes", p, ok, detail))
-    for j in spins_up_to(min(cfg.max_spin, ONE), HALF):
+    for j in spins_up_to(min(cfg.max_spin, ONE)):
         p = {"j": str(j), "order": str(cfg.order)}
         ok, detail = slh2.dfunction_coalgebra_check(j, cfg.order)
         rows.append(_row("dfunctions", "matrix_coalgebra", "dfun-coalgebra",
@@ -240,8 +240,8 @@ def suite_properties(cfg):
     rows = []
     lim = min(cfg.max_spin + ONE, HalfInt.parse("3"))
     ok = True
-    for j1 in spins_up_to(lim, HALF):
-        for j2 in spins_up_to(lim, HALF):
+    for j1 in spins_up_to(lim):
+        for j2 in spins_up_to(lim):
             mat = reps.cg_matrix(j1, j2, 0)
             if mat.transpose() * mat != reps.Matrix.identity(mat.nrows, 0):
                 ok = False
@@ -256,7 +256,7 @@ def suite_properties(cfg):
 
     rng = random.Random(20240819)
     ok, detail = True, ""
-    labels = [(j, m) for j in spins_up_to(cfg.product_spin, HALF)
+    labels = [(j, m) for j in spins_up_to(cfg.product_spin)
               for m in weights(j)]
     for trial in range(5):
         target = weyl.WeylElement.zero(cfg.order)

@@ -11,8 +11,9 @@ terminates because its argument is nilpotent.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial, prod
+from operator import add, mul
 
 from .scalar import (SCALARS, HalfInt, HSeries, SeriesCombination, _numerator_product,
                      _over_one_denominator, _series_of_sums, add_into, half_range,
@@ -161,12 +162,13 @@ def widx(j, m):
 class Rep:
     """A representation given by its generator matrices and twist exponent."""
 
-    __slots__ = ("j0", "jp", "jm", "sigma", "dim", "order", "_powers", "_exps")
+    __slots__ = ("j0", "jp", "jm", "sigma", "dim", "order", "one", "_powers", "_exps")
 
     def __init__(self, j0, jp, jm, sigma, order):
         self.j0, self.jp, self.jm, self.sigma = j0, jp, jm, sigma
         self.dim = j0.nrows
         self.order = order
+        self.one = Matrix.identity(self.dim, order)
         self._powers = None
         self._exps = {}
 
@@ -334,8 +336,12 @@ def qybe_check(j1, j2, j3, order):
 # twisted Hopf structure
 #
 # Coproduct terms are stored symbolically as (hpow, rational, left atoms,
-# right atoms) so the same tables drive the coproduct matrices, the counit
-# axiom and both antipode axioms.  Atoms: "J0", "Jp", "Jm", ("E", alpha).
+# right atoms) and antipode terms as (hpow, rational, atoms), so the same
+# tables drive the coproduct matrices, the counit axiom, both antipode axioms
+# and the adjoint action.  Atoms: "J0", "Jp", "Jm", ("E", alpha) for
+# exp(alpha*s).  A realization of the algebra is anything with the
+# generators j0, jp, jm, a unit one, an order and exp_sigma(alpha): a Rep
+# or weyl.WeylLetters.
 
 
 _DELTA = {
@@ -350,47 +356,54 @@ _DELTA = {
            (1, 1, ("J0",), (("E", 1),))],
 }
 
-
-def _atom_matrix(rep, atom):
-    if atom in ("J0", "Jp", "Jm"):
-        return getattr(rep, atom.lower())
-    kind, alpha = atom
-    if kind != "E":
-        raise ValueError(f"unknown atom {atom!r}")
-    return rep.exp_sigma(alpha)
-
-
-def _word_matrix(rep, atoms):
-    out = Matrix.identity(rep.dim, rep.order)
-    for atom in atoms:
-        out = out * _atom_matrix(rep, atom)
-    return out
+# S of each generator; S(E^alpha) = E^(-alpha) is the rule in _antipode_word
+_ANTIPODE = {
+    "J0": [(0, -1, ("J0", ("E", -1)))],
+    "Jp": [(0, -1, ("Jp", ("E", 1)))],
+    "Jm": [(0, -1, ("Jm", ("E", -1))),
+           (1, Fraction(-1, 2), ("J0", "J0", ("E", -2))),
+           (1, Fraction(-1, 2), ("J0", "J0", ("E", -1))),
+           (1, 1, ("J0", ("E", -2))),
+           (1, -1, ("J0", ("E", -1)))],
+}
 
 
-def _antipode_atom(rep, atom):
-    """Closed-form antipode of a single atom, as a matrix on rep."""
-    em1 = rep.exp_sigma(-1)
-    if atom == "J0":
-        return -(rep.j0 * em1)
-    if atom == "Jp":
-        return -(rep.jp * rep.exp_sigma(1))
-    if atom == "Jm":
-        h1 = HSeries.h_power(1, rep.order)
-        ident = Matrix.identity(rep.dim, rep.order)
-        out = -(rep.jm * em1)
-        out = out - (rep.j0 * rep.j0 * (em1 + ident) * em1).scale(
-            HSeries.h_power(1, rep.order, Fraction(1, 2)))
-        out = out + (rep.j0 * (em1 - ident) * em1).scale(h1)
-        return out
-    kind, alpha = atom
-    return rep.exp_sigma(-alpha)
+def _product(rep, factors):
+    """The product of the factors, from the first one on; rep.one if none."""
+    factors = list(factors)
+    return reduce(mul, factors) if factors else rep.one
+
+
+def _word(rep, atoms):
+    """The product of the atoms in the realization rep."""
+    return _product(rep, (getattr(rep, atom.lower()) if isinstance(atom, str)
+                          else rep.exp_sigma(atom[1]) for atom in atoms))
+
+
+def _combination(rep, terms, evaluate=_word):
+    """sum of h^hpow * q * evaluate(rep, atoms) over (hpow, q, atoms) in terms."""
+    return reduce(add, (evaluate(rep, atoms).scale(HSeries.h_power(hpow, rep.order, q))
+                        for hpow, q, atoms in terms))
 
 
 def _antipode_word(rep, atoms):
-    out = Matrix.identity(rep.dim, rep.order)
-    for atom in reversed(atoms):
-        out = out * _antipode_atom(rep, atom)
-    return out
+    """S of a word: an antimap, so the images of the atoms multiply in reverse."""
+    return _product(rep, (_combination(rep, _ANTIPODE[atom]) if isinstance(atom, str)
+                          else rep.exp_sigma(-atom[1]) for atom in reversed(atoms)))
+
+
+def adjoint(rep, gen):
+    """The adjoint action t -> sum gen_(1) t S(gen_(2)) of a generator on rep.
+
+    The terms of Delta(gen) that share a left word are summed into one right
+    factor first, so each left word multiplies t once.
+    """
+    right = {}
+    for hpow, q, lw, rw in _DELTA[gen]:
+        right.setdefault(lw, []).append((hpow, q, rw))
+    legs = [(_word(rep, lw), _combination(rep, terms, _antipode_word))
+            for lw, terms in right.items()]
+    return lambda t: reduce(add, (left * t * r for left, r in legs))
 
 
 def _counit_word(atoms, order):
@@ -408,14 +421,13 @@ def coproduct_matrix(r1, r2, gen):
     out = Matrix.zero(n, n, order)
     for hpow, q, left, right in _DELTA[gen]:
         c = HSeries.h_power(hpow, order, q)
-        out = out + _word_matrix(r1, left).kron(_word_matrix(r2, right)).scale(c)
+        out = out + _word(r1, left).kron(_word(r2, right)).scale(c)
     return out
 
 
 def twisted_tensor(r1, r2):
     """Tensor product representation through the twisted coproduct."""
-    sigma = r1.sigma.kron(Matrix.identity(r2.dim, r2.order)) \
-        + Matrix.identity(r1.dim, r1.order).kron(r2.sigma)
+    sigma = r1.sigma.kron(r2.one) + r1.one.kron(r2.sigma)
     return Rep(coproduct_matrix(r1, r2, "J0"),
                coproduct_matrix(r1, r2, "Jp"),
                coproduct_matrix(r1, r2, "Jm"),
@@ -440,9 +452,8 @@ def twisted_hopf_suite(j1, j2, j3, order):
         and t12.j0 * t12.jm - t12.jm * t12.j0 == t12.jm.scale(-2)
         and t12.jp * t12.jm - t12.jm * t12.jp == t12.j0)
     # the twist exponent is primitive for the twisted coproduct
-    ident = Matrix.identity(t12.dim, order)
     out["sigma_primitive"] = \
-        (ident - t12.jp.scale(HSeries.h_power(1, order, 2))).log_unipotent() == -t12.sigma
+        (t12.one - t12.jp.scale(HSeries.h_power(1, order, 2))).log_unipotent() == -t12.sigma
 
     left = twisted_tensor(t12, r3)
     right = twisted_tensor(r1, twisted_tensor(r2, r3))
@@ -452,7 +463,6 @@ def twisted_hopf_suite(j1, j2, j3, order):
     counit_ok = True
     antipode_ok = True
     for rep in (r1, r2):
-        idm = Matrix.identity(rep.dim, order)
         for gen in ("J0", "Jp", "Jm"):
             # (counit (x) id) and (id (x) counit) applied to the coproduct
             lsum = Matrix.zero(rep.dim, rep.dim, order)
@@ -461,22 +471,21 @@ def twisted_hopf_suite(j1, j2, j3, order):
             tsum = Matrix.zero(rep.dim, rep.dim, order)
             for hpow, q, lw, rw in _DELTA[gen]:
                 c = HSeries.h_power(hpow, order, q)
-                lsum = lsum + _word_matrix(rep, rw).scale(c * _counit_word(lw, order))
-                rsum = rsum + _word_matrix(rep, lw).scale(c * _counit_word(rw, order))
-                ssum = ssum + (_antipode_word(rep, lw) * _word_matrix(rep, rw)).scale(c)
-                tsum = tsum + (_word_matrix(rep, lw) * _antipode_word(rep, rw)).scale(c)
-            g = _word_matrix(rep, (gen,))
+                lsum = lsum + _word(rep, rw).scale(c * _counit_word(lw, order))
+                rsum = rsum + _word(rep, lw).scale(c * _counit_word(rw, order))
+                ssum = ssum + (_antipode_word(rep, lw) * _word(rep, rw)).scale(c)
+                tsum = tsum + (_word(rep, lw) * _antipode_word(rep, rw)).scale(c)
+            g = _word(rep, (gen,))
             counit_ok = counit_ok and lsum == g and rsum == g
             # counit of every generator vanishes, so both antipode sums must too
             antipode_ok = antipode_ok and ssum.is_zero() and tsum.is_zero()
     out["counit_axiom"] = counit_ok
     out["antipode_axiom"] = antipode_ok
 
-    # S(s) = -s: the anti-automorphism sends 1 - 2h Jp to 1 + 2h Jp exp(s),
+    # S(s) = -s: the anti-automorphism sends 1 - 2h Jp to 1 - 2h S(Jp),
     # whose log must come out as +s so that S(s) = -log(...) = -s
-    dressed = (r1.jp * r1.exp_sigma(1)).scale(HSeries.h_power(1, order, 2))
-    out["antipode_of_sigma"] = \
-        (Matrix.identity(r1.dim, order) + dressed).log_unipotent() == r1.sigma
+    dressed = _antipode_word(r1, ("Jp",)).scale(HSeries.h_power(1, order, 2))
+    out["antipode_of_sigma"] = (r1.one - dressed).log_unipotent() == r1.sigma
 
     return out
 
@@ -498,11 +507,10 @@ def ohn_suite(j, order):
     emh = rep.exp_sigma(-half)
     eph = rep.exp_sigma(half)
     em1 = rep.exp_sigma(-1)
-    ident = Matrix.identity(rep.dim, order)
 
     hmat = emh * rep.j0
     ymat = emh * (rep.jm + (rep.j0 * rep.j0).scale(HSeries.h_power(1, order, half))) \
-        - (eph * (em1 - ident)).scale(HSeries.h_power(1, order, Fraction(1, 8)))
+        - (eph * (em1 - rep.one)).scale(HSeries.h_power(1, order, Fraction(1, 8)))
     # sinh and cosh of hX = s/2, finite sums by nilpotency
     sinh = (eph - emh).scale(half)
     cosh = (eph + emh).scale(half)
@@ -525,16 +533,14 @@ def cocycle_check(j1, j2, j3, order):
     r1 = spin_rep(j1, order)
     r2 = spin_rep(j2, order)
     r3 = spin_rep(j3, order)
-    i1 = Matrix.identity(r1.dim, order)
-    i3 = Matrix.identity(r3.dim, order)
+    i1, i3 = r1.one, r3.one
     half = HSeries.constant(Fraction(-1, 2), order)
 
     f12 = twist_matrix_oracle(j1, j2, order).kron(i3)
     f23 = i1.kron(twist_matrix_oracle(j2, j3, order))
-    dj0_12 = r1.j0.kron(Matrix.identity(r2.dim, order)) \
-        + i1.kron(r2.j0)
+    dj0_12 = r1.j0.kron(r2.one) + i1.kron(r2.j0)
     lhs_arg = dj0_12.kron(r3.sigma).scale(half)
-    djp_23 = r2.jp.kron(i3) + Matrix.identity(r2.dim, order).kron(r3.jp)
+    djp_23 = r2.jp.kron(i3) + r2.one.kron(r3.jp)
     dsigma_23 = -(Matrix.identity(r2.dim * r3.dim, order)
                   - djp_23.scale(HSeries.h_power(1, order, 2))).log_unipotent()
     rhs_arg = r1.j0.kron(dsigma_23).scale(half)

@@ -714,7 +714,6 @@ def weights(j):
     return [HalfInt(t) for t in range(-j.twice, j.twice + 1, 2)]
 
 
-def spins_up_to(max_j, start=0):
-    """Spins start, start+1/2, ..., max_j."""
-    lo, hi = HalfInt.of(start), HalfInt.of(max_j)
-    return [HalfInt(t) for t in range(lo.twice, hi.twice + 1)]
+def spins_up_to(max_j):
+    """Spins 1/2, 1, ..., max_j."""
+    return [HalfInt(t) for t in range(1, HalfInt.of(max_j).twice + 1)]

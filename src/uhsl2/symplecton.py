@@ -17,17 +17,17 @@ from functools import lru_cache
 from .scalar import (AlgebraMap, HalfInt, HSeries, add_into, half_range,
                      spins_up_to, sqrt_fraction, weights)
 from .su2data import bracket_coeff, cgc, fact, triangle_ok
-from .reps import exp_sigma_entry
-from .weyl import (OscElement, WeylElement, ad_j0, ad_jminus, ad_jplus,
-                   classical_symplecton, exp_m_sigma, exp_m_sigma_osc, h_symplecton,
-                   j_minus, j_plus, j_zero, ladder_coeff, symplecton_pivot, to_oscillator)
+from .reps import adjoint, exp_sigma_entry
+from .weyl import (OscElement, WeylElement, WeylLetters, classical_symplecton, exp_m_sigma,
+                   exp_m_sigma_osc, h_symplecton, ladder_coeff, symplecton_pivot,
+                   to_oscillator)
 
 
 def symmetry_check(max_j, order=0):
     """Reflection a -> abar, abar -> -a sends P_j^m to (-1)^(j-m) P_j^(-m)."""
     reflect = AlgebraMap({0: WeylElement.monomial(0, 1, order),
                           1: -WeylElement.monomial(1, 0, order)})
-    for j in spins_up_to(max_j, HalfInt(1)):
+    for j in spins_up_to(max_j):
         for m in weights(j):
             got = reflect(classical_symplecton(j, m, order))
             want = classical_symplecton(j, -m, order).scale(
@@ -134,11 +134,21 @@ def osc_symplecton_poly(j, m, order, form="A"):
 
 
 def h_symplecton_forms_check(max_j, order):
-    """Both deformed closed forms equal the twist-dressed classical family."""
+    """Both deformed closed forms equal the twist-dressed classical family.
+
+    to_oscillator is an algebra map, so the image of P_j^m exp(m*s) is
+    osc(P_j^m) (1 - h A^2)^m once osc(exp(m*s)) = (1 - h A^2)^m, which is
+    checked once per weight.  P_j^m is free of h, so its image is cheap.
+    """
     osc = to_oscillator(order)
-    for j in spins_up_to(max_j, HalfInt(1)):
+    dressing = {}
+    for j in spins_up_to(max_j):
         for m in weights(j):
-            ref = osc(h_symplecton(j, m, order))
+            if m not in dressing:
+                dressing[m] = exp_m_sigma_osc(m, order)
+                if osc(exp_m_sigma(m, order)) != dressing[m]:
+                    return False, f"exp({m} s) differs from (1 - h A^2)^{m}"
+            ref = osc(classical_symplecton(j, m, order)) * dressing[m]
             if osc_symplecton_poly(j, m, order, "A") != ref:
                 return False, f"form A differs at j={j}, m={m}"
             if osc_symplecton_poly(j, m, order, "B") != ref:
@@ -147,8 +157,11 @@ def h_symplecton_forms_check(max_j, order):
 
 
 def tensor_operator_check(max_j, order):
-    """The deformed adjoint action ladders through the twisted family."""
-    for j in spins_up_to(max_j, HalfInt(1)):
+    """The deformed adjoint action, read off the Hopf tables of reps in the
+    Weyl letters, ladders through the twisted family."""
+    letters = WeylLetters(order)
+    ad_j0, ad_jplus, ad_jminus = (adjoint(letters, gen) for gen in ("J0", "Jp", "Jm"))
+    for j in spins_up_to(max_j):
         for m in weights(j):
             p = h_symplecton(j, m, order)
             if ad_j0(p) != p.scale(HSeries.constant((2 * m).as_int(), order)):
@@ -208,7 +221,7 @@ def decompose_twisted(w, member):
 
 
 def _spin_pairs(max_j):
-    spins = spins_up_to(max_j, HalfInt(1))
+    spins = spins_up_to(max_j)
     return [(j, jp_) for j in spins for jp_ in spins]
 
 
@@ -438,21 +451,22 @@ def examples_check(order):
     r8 = HSeries.constant(sqrt_fraction(Fraction(8)), order)
     dress = one - t1.scale(h1)
     osc = to_oscillator(order)
-    jplus = osc(j_plus(order))
+    letters = WeylLetters(order)
+    jplus = osc(letters.jp)
 
     closes = (t0.commutator(t1) == (t1 * dress).scale(r8)
               and t0.commutator(tm) == -(tm * dress).scale(r8)
               and t1.commutator(tm) == -(dress * t0).scale(r8))
     return {
         "twist_exponential_in_oscillators": (
-            osc(exp_m_sigma(1, order)) == one - OscElement.monomial(2, 0, order, h1),
+            osc(letters.exp_sigma(1)) == one - OscElement.monomial(2, 0, order, h1),
             "exp(s) = 1 - h a^2 in the deformed letters"),
         "weight_one_commutators": (
             closes, "weight-one commutators close" if closes else "weight-one commutators fail"),
         "reconstruction_j0": (
-            osc(j_zero(order)) == t0.scale(sqrt_fraction(Fraction(1, 2))), ""),
+            osc(letters.j0) == t0.scale(sqrt_fraction(Fraction(1, 2))), ""),
         "reconstruction_jminus": (
-            osc(j_minus(order)) == (tm * dress).scale(Fraction(1, 2)), ""),
+            osc(letters.jm) == (tm * dress).scale(Fraction(1, 2)), ""),
         "reconstruction_jplus_inverse_dressing": (
             jplus == (t1 * exp_m_sigma_osc(-1, order)).scale(Fraction(-1, 2)), ""),
         "reconstruction_dressing_is_exp_sigma": (dress == exp_m_sigma_osc(1, order), ""),
@@ -482,7 +496,7 @@ def generating_function_check(max_j, order):
     In the deformed oscillator the linear form uses the half-dressed
     generators and each term picks up exp(-m s) on the right.
     """
-    for j in spins_up_to(max_j, HalfInt(1)):
+    for j in spins_up_to(max_j):
         tj = (2 * j).as_int()
         base = {(1, 0): WeylElement.monomial(1, 0, order),
                 (0, 1): WeylElement.monomial(0, 1, order)}

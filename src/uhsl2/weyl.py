@@ -151,22 +151,6 @@ class OscElement(_NormalPoly):
         return "A", "Abar"
 
 
-def j_plus(order):
-    """Raising generator, -a^2/2."""
-    return WeylElement.monomial(2, 0, order, Fraction(-1, 2))
-
-
-def j_minus(order):
-    """Lowering generator, abar^2/2."""
-    return WeylElement.monomial(0, 2, order, Fraction(1, 2))
-
-
-def j_zero(order):
-    """Weight generator, (a abar + abar a)/2 = a abar + 1/2."""
-    return WeylElement({(1, 1): HSeries.one(order),
-                        (0, 0): HSeries.constant(Fraction(1, 2), order)}, order)
-
-
 @lru_cache(maxsize=None)
 def _binomial_in_square(cls, alpha, sign, order):
     """(1 + sign*h*x^2)^alpha with x the first generator of cls."""
@@ -182,6 +166,26 @@ def exp_m_sigma(m, order):
 def exp_m_sigma_osc(m, order):
     """exp(m*s) = (1 - h A^2)^m in the oscillator presentation."""
     return _binomial_in_square(OscElement, _scalar_of(m), -1, order)
+
+
+class WeylLetters:
+    """U_h(sl(2)) realized in the Weyl letters at one truncation order:
+    J+ = -a^2/2, J- = abar^2/2, J0 = (a abar + abar a)/2 = a abar + 1/2,
+    and exp(alpha*s) = (1 + h a^2)^(-alpha); a realization for the Hopf
+    tables of reps."""
+
+    __slots__ = ("order", "one", "j0", "jp", "jm")
+
+    def __init__(self, order):
+        self.order = order
+        self.one = WeylElement.one(order)
+        self.j0 = WeylElement({(1, 1): HSeries.one(order),
+                               (0, 0): HSeries.constant(Fraction(1, 2), order)}, order)
+        self.jp = WeylElement.monomial(2, 0, order, Fraction(-1, 2))
+        self.jm = WeylElement.monomial(0, 2, order, Fraction(1, 2))
+
+    def exp_sigma(self, alpha):
+        return exp_m_sigma(alpha, self.order)
 
 
 def to_oscillator(order):
@@ -245,33 +249,6 @@ def h_symplecton(j, m, order):
 @lru_cache(maxsize=None)
 def _h_symplecton(jt, mt, order):
     return classical_symplecton(HalfInt(jt), HalfInt(mt), order) * exp_m_sigma(HalfInt(mt), order)
-
-
-def ad_j0(t):
-    """Deformed adjoint action of the weight generator: [J0, t] exp(-s)."""
-    order = t.order
-    return j_zero(order).commutator(t) * exp_m_sigma(-1, order)
-
-
-def ad_jplus(t):
-    """Deformed adjoint action of the raising generator: exp(-s) [J+ exp(s), t]."""
-    order = t.order
-    dressed = j_plus(order) * exp_m_sigma(1, order)
-    return exp_m_sigma(-1, order) * dressed.commutator(t)
-
-
-def ad_jminus(t):
-    """Deformed adjoint action of the lowering generator."""
-    order = t.order
-    h1 = HSeries.h_power(1, order)
-    j0 = j_zero(order)
-    half_h = HSeries.h_power(1, order, Fraction(1, 2))
-    head = j_minus(order) + j0.scale(h1) + (j0 * j0).scale(half_h)
-    em1, em2 = exp_m_sigma(-1, order), exp_m_sigma(-2, order)
-    out = head.commutator(t) * em1
-    out = out - j0.commutator(t) * em2.scale(h1)
-    out = out - j0.commutator(j0.commutator(t)) * em2.scale(half_h)
-    return out
 
 
 def ladder_coeff(j, m, direction):

@@ -30,7 +30,7 @@ HALF = HalfInt(1)
 
 
 def test_01_twist_closed_form_matches_oracle():
-    spins = spins_up_to(HalfInt(5), HALF)
+    spins = spins_up_to(HalfInt(5))
     for j1 in spins:
         for j2 in spins:
             assert twist_matrix_formula(j1, j2, ORDER) \
@@ -39,7 +39,7 @@ def test_01_twist_closed_form_matches_oracle():
 
 
 def test_02_twist_inverse_by_weight_reversal():
-    spins = spins_up_to(HalfInt(5), HALF)
+    spins = spins_up_to(HalfInt(5))
     for j1 in spins:
         for j2 in spins:
             assert twist_symmetry_check(twist_matrix_oracle(j1, j2, ORDER)), \
@@ -60,7 +60,7 @@ def test_04_twisted_coupled_bases():
 
 
 def test_05_recoupling_with_racah_coefficients():
-    spins = spins_up_to(HalfInt(3), HALF)
+    spins = spins_up_to(HalfInt(3))
     total = 0
     for a in spins:
         for b in spins:
@@ -73,19 +73,19 @@ def test_05_recoupling_with_racah_coefficients():
 
 
 def test_06_hyperbolic_presentation():
-    for j in spins_up_to(HalfInt(4), HALF):
+    for j in spins_up_to(HalfInt(4)):
         for name, ok in ohn_suite(j, ORDER).items():
             assert ok, f"{name} fails in the spin-{j} representation"
 
 
 def test_07_classical_family_closed_forms():
-    for j in spins_up_to(HalfInt(6), HALF):
+    for j in spins_up_to(HalfInt(6)):
         for m in weights(j):
             assert classical_symplecton(j, m, 0, "A") \
                 == classical_symplecton(j, m, 0, "B"), \
                 f"the two summation forms differ at ({j},{m})"
     assert symmetry_check(HalfInt(6)), "weight reflection symmetry fails"
-    for j in spins_up_to(HalfInt(4), HALF):
+    for j in spins_up_to(HalfInt(4)):
         for m in weights(j):
             if m > 0:
                 continue
@@ -158,7 +158,7 @@ def test_10_product_expansion_structure():
     for name, (ok, detail) in checks.items():
         assert ok, f"{name}: {detail}"
     # every triangle-admissible spin triple carries one constant ratio
-    spins = spins_up_to(lim, HALF)
+    spins = spins_up_to(lim)
     for j in spins:
         for jp_ in spins:
             for k in half_range(HalfInt(abs(j.twice - jp_.twice)), j + jp_):
@@ -219,7 +219,7 @@ def test_13_representation_matrix_elements():
 
 
 def test_14_property_suites():
-    spins = spins_up_to(HalfInt(6), HALF)
+    spins = spins_up_to(HalfInt(6))
     for j1 in spins:
         for j2 in spins:
             mat = cg_matrix(j1, j2, 0)
@@ -230,7 +230,7 @@ def test_14_property_suites():
     assert r_triangularity_check(HALF, HALF, ORDER), "triangularity fails"
 
     rng = random.Random(20240820)
-    labels = [(j, m) for j in spins_up_to(HalfInt(4), HALF) for m in weights(j)]
+    labels = [(j, m) for j in spins_up_to(HalfInt(4)) for m in weights(j)]
     for trial in range(3):
         coeffs = {}
         target = WeylElement.zero(ORDER)

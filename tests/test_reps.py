@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from uhsl2 import reps
 from uhsl2.scalar import HalfInt, HSeries, sqrt_fraction, weights
+from uhsl2.symplecton import tensor_operator_check
 from uhsl2.reps import (Matrix, cocycle_check, coupled_basis_suite,
                         exp_sigma_entry, flip_tensor, ohn_suite, qybe_check,
                         r_triangularity_check, spin_rep, twist_inverse,
@@ -146,6 +148,37 @@ def test_twisted_hopf_suite():
             assert ok, f"{name} fails on {triple}"
 
 
+_SIGN_FLIPS = [(gen, i) for gen, terms in reps._ANTIPODE.items() for i in range(len(terms))]
+
+
+@pytest.mark.parametrize("mutant", [*_SIGN_FLIPS, "map"],
+                         ids=[*(f"{gen}-{i}" for gen, i in _SIGN_FLIPS), "map"])
+def test_antipode_mutants_fail_the_hopf_and_ladder_checks(monkeypatch, mutant):
+    # a sign flipped in one term of the antipode table, or S applied as a map
+    # (the atoms' images multiplied in word order), breaks the antipode axiom
+    # on matrices and the adjoint ladder in the Weyl letters
+    if mutant == "map":
+        antipode_word = reps._antipode_word
+        monkeypatch.setattr(reps, "_antipode_word",
+                            lambda rep, atoms: antipode_word(rep, atoms[::-1]))
+    else:
+        gen, i = mutant
+        terms = list(reps._ANTIPODE[gen])
+        hpow, q, atoms = terms[i]
+        terms[i] = (hpow, -q, atoms)
+        monkeypatch.setitem(reps._ANTIPODE, gen, terms)
+    for triple in ((H12, H12, H12), (1, H12, H12)):
+        assert not twisted_hopf_suite(*triple, ORD)["antipode_axiom"], triple
+    ok, _ = tensor_operator_check(H32, ORD)
+    assert not ok
+
+
+def test_antipode_of_sigma_reads_the_table(monkeypatch):
+    hpow, q, atoms = reps._ANTIPODE["Jp"][0]
+    monkeypatch.setitem(reps._ANTIPODE, "Jp", [(hpow, -q, atoms)])
+    assert not twisted_hopf_suite(H12, H12, H12, ORD)["antipode_of_sigma"]
+
+
 def test_cocycle():
     assert cocycle_check(H12, H12, H12, ORD)
     assert cocycle_check(1, H12, H12, 4)
@@ -216,8 +249,6 @@ def test_each_exponential_is_built_once(monkeypatch):
     # every power table and every power sum of the run is recorded: the powers
     # of each s are multiplied once per representation, and each exp(alpha*s)
     # is one sum over that representation's table, once per alpha
-    from uhsl2 import reps
-
     powered, sums = [], []
     nilpotent_powers, power_sum = Matrix.nilpotent_powers, reps.power_sum
 

@@ -392,4 +392,5 @@ def test_half_int_agrees_with_fraction_hypothesis():
 def test_half_int_ranges():
     assert [str(m) for m in weights(HalfInt(3))] == ["-3/2", "-1/2", "1/2", "3/2"]
     assert [m.twice for m in half_range(0, 2)] == [0, 2, 4]
-    assert [s.twice for s in spins_up_to(Fraction(3, 2))] == [0, 1, 2, 3]
+    assert [s.twice for s in spins_up_to(Fraction(3, 2))] == [1, 2, 3]
+    assert spins_up_to(0) == []

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from uhsl2 import symplecton
 from uhsl2.reps import exp_sigma_entry
 from uhsl2.scalar import (AlgebraMap, HSeries, HalfInt, RadicalSum, half_range,
                           spins_up_to, sqrt_fraction, weights)
@@ -21,7 +22,7 @@ def test_reflection_symmetry():
 
 
 def test_hypergeometric_form_matches_basis():
-    for j in spins_up_to(HalfInt(4)):
+    for j in [HalfInt(0), *spins_up_to(HalfInt(4))]:
         for m in weights(j):
             if m > 0:
                 continue
@@ -40,6 +41,28 @@ def test_deformed_closed_forms():
     assert ok, detail
 
 
+_FORMS_MUTANTS = {
+    # the dressing factor dropped on both sides, so only the forms can fail
+    "dressing-dropped": (lambda m, order: WeylElement.one(order),
+                         lambda m, order: OscElement.one(order)),
+    # the dressing factor's sign flipped on both sides
+    "dressing-flipped": (lambda m, order: exp_m_sigma(-m, order),
+                         lambda m, order: exp_m_sigma_osc(-m, order)),
+    "weyl-exp-is-one": (lambda m, order: WeylElement.one(order), exp_m_sigma_osc),
+    "osc-dressing-flipped": (exp_m_sigma, lambda m, order: exp_m_sigma_osc(-m, order)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_FORMS_MUTANTS))
+def test_forms_check_mutants_fail(monkeypatch, mutant):
+    weyl_exp, osc_exp = _FORMS_MUTANTS[mutant]
+    monkeypatch.setattr(symplecton, "exp_m_sigma", weyl_exp)
+    monkeypatch.setattr(symplecton, "exp_m_sigma_osc", osc_exp)
+    ok, detail = h_symplecton_forms_check(HalfInt(2), 4)
+    assert not ok, mutant
+    assert "differ" in detail
+
+
 def test_tensor_operator_suite():
     ok, detail = tensor_operator_check(HalfInt(3), 4)
     assert ok, detail
@@ -48,7 +71,7 @@ def test_tensor_operator_suite():
 def test_decompose_twisted_roundtrip():
     rng = random.Random(20240817)
     H = 4
-    labels = [(j, m) for j in spins_up_to(HalfInt(3), HalfInt(1)) for m in weights(j)]
+    labels = [(j, m) for j in spins_up_to(HalfInt(3)) for m in weights(j)]
     for _ in range(8):
         picks = rng.sample(labels, 3)
         want = {}
@@ -94,7 +117,7 @@ def test_oscillator_and_weyl_letters_agree():
     # expansions and dressed products are those of the Weyl letters
     H = 4
     osc = to_oscillator(H)
-    labels = [(j, m) for j in spins_up_to(HalfInt(3), HalfInt(1)) for m in weights(j)]
+    labels = [(j, m) for j in spins_up_to(HalfInt(3)) for m in weights(j)]
     family = {}
 
     def member(j, m, order):

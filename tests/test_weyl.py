@@ -7,11 +7,10 @@ import pytest
 
 from uhsl2.scalar import AlgebraMap, HalfInt, HSeries, RadicalSum, sqrt_fraction, weights
 from uhsl2.su2data import fact
-from uhsl2.symplecton import decompose_twisted
-from uhsl2.weyl import (OscElement, WeylElement, ad_j0,
-                        ad_jminus, ad_jplus, classical_symplecton, exp_m_sigma,
-                        exp_m_sigma_osc, h_symplecton,
-                        j_minus, j_plus, j_zero, ladder_coeff,
+from uhsl2.reps import adjoint
+from uhsl2.symplecton import decompose_twisted, tensor_operator_check
+from uhsl2.weyl import (OscElement, WeylElement, WeylLetters, classical_symplecton,
+                        exp_m_sigma, exp_m_sigma_osc, h_symplecton, ladder_coeff,
                         symplecton_pivot, to_oscillator)
 
 H = 4
@@ -182,7 +181,8 @@ def test_classical_symplecton_two_forms_agree():
 
 def test_classical_ladder_action():
     # plain sl(2) ladder on the classical basis: [J+-, P_j^m] ~ P_j^(m+-1)
-    jp, jm, j0 = j_plus(0), j_minus(0), j_zero(0)
+    letters = WeylLetters(0)
+    jp, jm, j0 = letters.jp, letters.jm, letters.j0
     for jt in range(1, 5):
         j = HalfInt(jt)
         for m in weights(j):
@@ -243,20 +243,56 @@ def test_h_symplecton_oscillator_images():
     assert to_oscillator(H)(h_symplecton(1, 0, H)) == expect
 
 
+def _generators(order):
+    """J0 = a abar + 1/2, J+ = -a^2/2, J- = abar^2/2, written out as monomials."""
+    j0 = WeylElement.monomial(1, 1, order) + WeylElement.monomial(0, 0, order, Fraction(1, 2))
+    return (j0, WeylElement.monomial(2, 0, order, Fraction(-1, 2)),
+            WeylElement.monomial(0, 2, order, Fraction(1, 2)))
+
+
+def ref_ad_j0(t):
+    """Deformed adjoint action of the weight generator: [J0, t] exp(-s)."""
+    j0, _, _ = _generators(t.order)
+    return j0.commutator(t) * exp_m_sigma(-1, t.order)
+
+
+def ref_ad_jplus(t):
+    """Deformed adjoint action of the raising generator: exp(-s) [J+ exp(s), t]."""
+    order = t.order
+    _, jp, _ = _generators(order)
+    return exp_m_sigma(-1, order) * (jp * exp_m_sigma(1, order)).commutator(t)
+
+
+def ref_ad_jminus(t):
+    """Deformed adjoint action of the lowering generator, expanded by hand:
+    [J- + h J0 + h J0^2/2, t] exp(-s) - h [J0, t] exp(-2s)
+    - (h/2) [J0, [J0, t]] exp(-2s)."""
+    order = t.order
+    j0, _, jm = _generators(order)
+    h1 = HSeries.h_power(1, order)
+    half_h = HSeries.h_power(1, order, Fraction(1, 2))
+    head = jm + j0.scale(h1) + (j0 * j0).scale(half_h)
+    em1, em2 = exp_m_sigma(-1, order), exp_m_sigma(-2, order)
+    out = head.commutator(t) * em1
+    out = out - j0.commutator(t) * em2.scale(h1)
+    return out - j0.commutator(j0.commutator(t)) * em2.scale(half_h)
+
+
+def test_table_adjoint_matches_hand_written_formulas():
+    letters = WeylLetters(H)
+    assert (letters.j0, letters.jp, letters.jm) == _generators(H)
+    for gen, ref in (("J0", ref_ad_j0), ("Jp", ref_ad_jplus), ("Jm", ref_ad_jminus)):
+        ad = adjoint(letters, gen)
+        for jt in (1, 2, 3):
+            j = HalfInt(jt)
+            for m in weights(j):
+                p = h_symplecton(j, m, H)
+                assert ad(p) == ref(p), f"ad_{gen} differs at j={j}, m={m}"
+
+
 def test_adjoint_action_is_deformed_ladder():
-    for jt in (1, 2, 3):
-        j = HalfInt(jt)
-        for m in weights(j):
-            p = h_symplecton(j, m, H)
-            assert ad_j0(p) == p.scale(HSeries.constant((2 * m).as_int(), H))
-            up = ad_jplus(p)
-            expect = (h_symplecton(j, m + 1, H).scale(HSeries.constant(ladder_coeff(j, m, +1), H))
-                      if m < j else WeylElement.zero(H))
-            assert up == expect, f"raising fails at j={j}, m={m}"
-            down = ad_jminus(p)
-            expect = (h_symplecton(j, m - 1, H).scale(HSeries.constant(ladder_coeff(j, m, -1), H))
-                      if m > -j else WeylElement.zero(H))
-            assert down == expect, f"lowering fails at j={j}, m={m}"
+    ok, detail = tensor_operator_check(HalfInt(3), 8)
+    assert ok, detail
 
 
 def test_str_rendering():
