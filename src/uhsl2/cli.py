@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .scalar import HSeries, HalfInt, spins_up_to, weights
+from .scalar import HSeries, HalfInt, combine, spins_up_to, weights
 from . import reps
 from . import slh2
 from . import su2data
@@ -259,14 +259,10 @@ def suite_properties(cfg):
     labels = [(j, m) for j in spins_up_to(cfg.product_spin)
               for m in weights(j)]
     for trial in range(5):
-        target = weyl.WeylElement.zero(cfg.order)
-        coeffs = {}
-        for j, m in labels:
-            c = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
-            if c == 0:
-                continue
-            coeffs[(j, m)] = c
-            target = target + weyl.h_symplecton(j, m, cfg.order).scale(c)
+        coeffs = {label: c for label in labels
+                  if (c := Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)))}
+        target = combine(((c, weyl.h_symplecton(j, m, cfg.order)) for (j, m), c in coeffs.items()),
+                         weyl.WeylElement.zero(cfg.order))
         try:
             got = symplecton.decompose_twisted(target, weyl.h_symplecton)
         except RuntimeError as err:

@@ -13,10 +13,10 @@ terminates because its argument is nilpotent.
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial, prod
-from operator import add, mul
+from operator import mul
 
 from .scalar import (SCALARS, HalfInt, HSeries, SeriesCombination, _numerator_product,
-                     _over_one_denominator, _series_of_sums, add_into, half_range,
+                     _over_one_denominator, _series_of_sums, add_into, combine, half_range,
                      sqrt_ratio, weights)
 from .su2data import cgc
 from .weyl import ladder_coeff
@@ -146,8 +146,7 @@ class Matrix(SeriesCombination):
 
 def power_sum(powers, coeff):
     """sum_k coeff(k) N^k from the table [I, N, N^2, ...] of nilpotent_powers."""
-    terms = (power.scale(c) for k, power in enumerate(powers) if (c := coeff(k)))
-    return sum(terms, Matrix.zero(*powers[0].space))
+    return combine(((coeff(k), power) for k, power in enumerate(powers)), powers[0])
 
 
 def _dim(j):
@@ -382,8 +381,8 @@ def _word(rep, atoms):
 
 def _combination(rep, terms, evaluate=_word):
     """sum of h^hpow * q * evaluate(rep, atoms) over (hpow, q, atoms) in terms."""
-    return reduce(add, (evaluate(rep, atoms).scale(HSeries.h_power(hpow, rep.order, q))
-                        for hpow, q, atoms in terms))
+    return combine(((HSeries.h_power(hpow, rep.order, q), evaluate(rep, atoms))
+                    for hpow, q, atoms in terms), rep.one)
 
 
 def _antipode_word(rep, atoms):
@@ -396,14 +395,16 @@ def adjoint(rep, gen):
     """The adjoint action t -> sum gen_(1) t S(gen_(2)) of a generator on rep.
 
     The terms of Delta(gen) that share a left word are summed into one right
-    factor first, so each left word multiplies t once.
+    factor first, so each left word multiplies t once; the empty left word
+    leaves t as it is.
     """
     right = {}
     for hpow, q, lw, rw in _DELTA[gen]:
         right.setdefault(lw, []).append((hpow, q, rw))
-    legs = [(_word(rep, lw), _combination(rep, terms, _antipode_word))
+    legs = [(_word(rep, lw) if lw else None, _combination(rep, terms, _antipode_word))
             for lw, terms in right.items()]
-    return lambda t: reduce(add, (left * t * r for left, r in legs))
+    return lambda t: combine(((1, (t if left is None else left * t) * r) for left, r in legs),
+                             rep.one)
 
 
 def _counit_word(atoms, order):
@@ -416,13 +417,9 @@ def _counit_word(atoms, order):
 
 def coproduct_matrix(r1, r2, gen):
     """Matrix of the twisted coproduct of a generator on r1 (x) r2."""
-    order = r1.order
-    n = r1.dim * r2.dim
-    out = Matrix.zero(n, n, order)
-    for hpow, q, left, right in _DELTA[gen]:
-        c = HSeries.h_power(hpow, order, q)
-        out = out + _word(r1, left).kron(_word(r2, right)).scale(c)
-    return out
+    return combine(((HSeries.h_power(hpow, r1.order, q), _word(r1, left).kron(_word(r2, right)))
+                    for hpow, q, left, right in _DELTA[gen]),
+                   Matrix.zero(r1.dim * r2.dim, r1.dim * r2.dim, r1.order))
 
 
 def twisted_tensor(r1, r2):
@@ -465,16 +462,15 @@ def twisted_hopf_suite(j1, j2, j3, order):
     for rep in (r1, r2):
         for gen in ("J0", "Jp", "Jm"):
             # (counit (x) id) and (id (x) counit) applied to the coproduct
-            lsum = Matrix.zero(rep.dim, rep.dim, order)
-            rsum = Matrix.zero(rep.dim, rep.dim, order)
-            ssum = Matrix.zero(rep.dim, rep.dim, order)
-            tsum = Matrix.zero(rep.dim, rep.dim, order)
-            for hpow, q, lw, rw in _DELTA[gen]:
-                c = HSeries.h_power(hpow, order, q)
-                lsum = lsum + _word(rep, rw).scale(c * _counit_word(lw, order))
-                rsum = rsum + _word(rep, lw).scale(c * _counit_word(rw, order))
-                ssum = ssum + (_antipode_word(rep, lw) * _word(rep, rw)).scale(c)
-                tsum = tsum + (_word(rep, lw) * _antipode_word(rep, rw)).scale(c)
+            terms = [(HSeries.h_power(hpow, order, q), lw, rw) for hpow, q, lw, rw in _DELTA[gen]]
+            lsum = combine(((c * _counit_word(lw, order), _word(rep, rw)) for c, lw, rw in terms),
+                           rep.one)
+            rsum = combine(((c * _counit_word(rw, order), _word(rep, lw)) for c, lw, rw in terms),
+                           rep.one)
+            ssum = combine(((c, _antipode_word(rep, lw) * _word(rep, rw)) for c, lw, rw in terms),
+                           rep.one)
+            tsum = combine(((c, _word(rep, lw) * _antipode_word(rep, rw)) for c, lw, rw in terms),
+                           rep.one)
             g = _word(rep, (gen,))
             counit_ok = counit_ok and lsum == g and rsum == g
             # counit of every generator vanishes, so both antipode sums must too

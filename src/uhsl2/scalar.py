@@ -579,15 +579,37 @@ class SeriesCombination:
         return self.space == other.space and self.terms == other.terms
 
 
+def combine(pairs, like):
+    """sum c*x over the (c, x) pairs, each c a scalar and each x of like's
+    type and space (else ValueError); like's zero when there are none.  The
+    coefficients and the terms each go over one denominator, and each key's
+    series is built once from its summed integer numerator products."""
+    order = like.order
+    kept = []
+    for c, x in pairs:
+        if type(x) is not type(like) or x.space != like.space:
+            raise ValueError(f"cannot combine a {type(x).__name__} into the "
+                             f"{type(like).__name__} space {like.space!r}")
+        if (c := as_series(c, order)).num:
+            kept.append((c, x))
+    nums, den = _over_one_denominator(dict(enumerate(c for c, _ in kept)))
+    terms, common = _over_one_denominator(
+        {(i, key): v for i, (_, x) in enumerate(kept) for key, v in x.terms.items()})
+    sums = {}
+    for (i, key), num in terms:
+        _numerator_product(nums[i][1], num, order, sums.setdefault(key, {}))
+    return like._like(_series_of_sums(sums, den * common, order))
+
+
 class AlgebraMap:
     """The algebra map sending letter i to images[i], or with reverse=True
     the antimap, which reads every word backwards.
 
-    Calling the map on an element sums c * image(word) over its terms, over
-    integer numerators on one denominator; the element's type names the
-    letters of each key.  The image of each word suffix is built once, as
-    image(first letter) * image(rest), and kept for as long as the map
-    lives, so a map built once serves a whole family.
+    Calling the map on an element sums c * image(word) over its terms
+    through combine; the element's type names the letters of each key.  The
+    image of each word suffix is built once, as image(first letter) *
+    image(rest), and kept for as long as the map lives, so a map built once
+    serves a whole family.
     """
 
     def __init__(self, images, reverse=False):
@@ -604,14 +626,8 @@ class AlgebraMap:
 
     def __call__(self, el):
         step = -1 if self.reverse else 1
-        nums, den = _over_one_denominator(el.terms)
-        images, common = _over_one_denominator(
-            {(i, k): v for i, key in enumerate(el.terms)
-             for k, v in self._word(el.letters(key)[::step]).terms.items()})
-        sums = {}
-        for (i, key), num in images:
-            _numerator_product(nums[i][1], num, el.order, sums.setdefault(key, {}))
-        return self._words[()]._like(_series_of_sums(sums, den * common, el.order))
+        return combine(((c, self._word(el.letters(key)[::step])) for key, c in el.terms.items()),
+                       self._words[()])
 
 
 @total_ordering

@@ -15,7 +15,7 @@ from functools import lru_cache
 from .reps import universal_r_rep
 from .scalar import (SCALARS, AlgebraMap, HSeries, HalfInt, SeriesCombination,
                      _numerator_product, _over_one_denominator, _series_of_sums,
-                     add_into, sqrt_fraction, weights)
+                     add_into, combine, sqrt_fraction, weights)
 from .su2data import fact
 from .symplecton import osc_symplecton_poly
 
@@ -361,8 +361,9 @@ def tensor_square(order, quotient=True):
 
 
 @lru_cache(maxsize=None)
-def tensor_cube(order, quotient=True):
-    return _side_by_side("group-tensor-cube", _group_copies(3, order, quotient), order)
+def tensor_cube(order):
+    """The gl2 cube, where coassociativity is checked."""
+    return _side_by_side("group-tensor-cube", _group_copies(3, order, False), order)
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +496,7 @@ def slh2_hopf_suite(order):
     ok = all(left(delta[g]) == quo.gen(g) == right(delta[g]) for g in GROUP_GENS)
     out["counit_axiom"] = (ok, "counit is a two-sided identity for comultiplication")
 
-    cube = tensor_cube(order, False)
+    cube = tensor_cube(order)
     d12 = coproduct_images(cube, "1", "2")
     d23 = coproduct_images(cube, "2", "3")
     lhs = letter_map(t2, {**{n + "1": d12[n] for n in GROUP_GENS},
@@ -583,7 +584,7 @@ def rtt_check(order):
             # a relation word holds its rule pair with coefficient 1 and
             # otherwise only normal words, so one pass clears every pair
             comb = [e.terms.get(pair, zero) for pair in rels]
-            e = e - sum((w.scale(c) for c, w in zip(comb, rels.values())), free.zero())
+            e = e - combine(zip(comb, rels.values()), free.zero())
             cdet = -e.terms.get((), zero)
             if e != dm1.scale(cdet):
                 ok = False

@@ -12,9 +12,12 @@ normal forms, and the two-variable generating functions.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate, repeat
+from math import prod
+from operator import mul
 
-from .scalar import (AlgebraMap, HalfInt, HSeries, add_into, half_range,
+from .scalar import (AlgebraMap, HalfInt, HSeries, add_into, combine, half_range,
                      spins_up_to, sqrt_fraction, weights)
 from .su2data import bracket_coeff, cgc, fact, triangle_ok
 from .reps import adjoint, exp_sigma_entry
@@ -23,14 +26,13 @@ from .weyl import (OscElement, WeylElement, WeylLetters, classical_symplecton, e
                    to_oscillator)
 
 
-def symmetry_check(max_j, order=0):
-    """Reflection a -> abar, abar -> -a sends P_j^m to (-1)^(j-m) P_j^(-m)."""
-    reflect = AlgebraMap({0: WeylElement.monomial(0, 1, order),
-                          1: -WeylElement.monomial(1, 0, order)})
+def symmetry_check(max_j):
+    """Reflection a -> abar, abar -> -a sends P_j^m to (-1)^(j-m) P_j^(-m), at order 0."""
+    reflect = AlgebraMap({0: WeylElement.monomial(0, 1, 0), 1: -WeylElement.monomial(1, 0, 0)})
     for j in spins_up_to(max_j):
         for m in weights(j):
-            got = reflect(classical_symplecton(j, m, order))
-            want = classical_symplecton(j, -m, order).scale(
+            got = reflect(classical_symplecton(j, m, 0))
+            want = classical_symplecton(j, -m, 0).scale(
                 Fraction(-1) ** ((j - m).as_int()))
             if got != want:
                 return False
@@ -55,9 +57,7 @@ def hypergeometric_form(j, m, order):
     # polynomials in x = a*abar, as series of order 2j in x
     top = (2 * j).as_int()
     x = HSeries.h_power(1, top)
-    prefactor = HSeries.one(top)
-    for t in range(1, JM + 1):
-        prefactor = prefactor * (x + (t - ms))
+    prefactor = prod((x + (t - ms) for t in range(1, JM + 1)), start=HSeries.one(top))
     total = HSeries.zero(top)
     for k in range(K + 1):
         coeff = Fraction(-1) ** k / fact(k)
@@ -69,9 +69,7 @@ def hypergeometric_form(j, m, order):
         for i in range(k, K):
             term = term * (i - K - x)
         total = total + term
-    denom = HSeries.one(top)
-    for i in range(K):
-        denom = denom * (i - K - x)
+    denom = prod((i - K - x for i in range(K)), start=HSeries.one(top))
     # the constant term of denom is (-1)^K K!, a unit; prefactor * total has
     # degree at most 2j, so the division is exact iff the quotient stops at
     # degree j+m
@@ -80,15 +78,11 @@ def hypergeometric_form(j, m, order):
         raise ValueError("polynomial division left a nonzero remainder; "
                          "the closed form does not normal-order as expected")
 
-    n_elem = WeylElement.monomial(1, 1, order)
-    out = WeylElement.zero(order)
-    npow = WeylElement.one(order)
-    for t in range(JM + 1):
-        if t:
-            npow = npow * n_elem
-        out = out + npow.scale(poly.coeff(t))
-    return (out * WeylElement.monomial(0, -ms, order)).scale(
-        symplecton_pivot(j, m) * Fraction(1, 2 ** K))
+    npows = accumulate(repeat(WeylElement.monomial(1, 1, order), JM), mul,
+                       initial=WeylElement.one(order))
+    norm = symplecton_pivot(j, m) * Fraction(1, 2 ** K)
+    return combine(((poly.coeff(t) * norm, npow) for t, npow in enumerate(npows)),
+                   WeylElement.zero(order)) * WeylElement.monomial(0, -ms, order)
 
 
 def osc_symplecton_poly(j, m, order, form="A"):
@@ -107,30 +101,23 @@ def osc_symplecton_poly(j, m, order, form="A"):
         # Abar + k h A
         return Ab + A.scale(HSeries.h_power(1, order, k))
 
-    total = OscElement.zero(order)
     if form == "A":
         pre = sqrt_fraction(Fraction(fact(2 * j) * fact(j - m), fact(j + m))) \
             * Fraction(1, 2 ** jm)
-        for s in range(jm + 1):
-            piece = OscElement.one(order)
-            for i in range(jm - s):
-                piece = piece * shifted(i)
-            piece = piece * OscElement.monomial(jp, 0, order)
-            for i in range(ms + s, ms, -1):
-                piece = piece * shifted(-i)
-            total = total + piece.scale(Fraction(1, fact(s) * fact(jm - s)))
+        terms = ((pre / (fact(s) * fact(jm - s)),
+                  reduce(mul, [*map(shifted, range(jm - s)), OscElement.monomial(jp, 0, order),
+                               *(shifted(-i) for i in range(ms + s, ms, -1))]))
+                 for s in range(jm + 1))
     elif form == "B":
         pre = sqrt_fraction(Fraction(fact(2 * j) * fact(j + m), fact(j - m))) \
             * Fraction(1, 2 ** jp)
-        for s in range(jp + 1):
-            piece = OscElement.monomial(s, 0, order)
-            for i in range(-s, jm - s):
-                piece = piece * shifted(i)
-            piece = piece * OscElement.monomial(jp - s, 0, order)
-            total = total + piece.scale(Fraction(1, fact(s) * fact(jp - s)))
+        terms = ((pre / (fact(s) * fact(jp - s)),
+                  reduce(mul, [OscElement.monomial(s, 0, order), *map(shifted, range(-s, jm - s)),
+                               OscElement.monomial(jp - s, 0, order)]))
+                 for s in range(jp + 1))
     else:
         raise ValueError(f"unknown form {form!r}")
-    return total.scale(pre)
+    return combine(terms, OscElement.zero(order))
 
 
 def h_symplecton_forms_check(max_j, order):
@@ -252,13 +239,8 @@ def _intermediate_holds(jp_, m, mp, lhs, dressed, order):
 
     P~_j^m P~_j'^m' = sum_n' <j' n'|exp(m s)|j' m'> P_j^m P_j'^n' exp((n'+m) s).
     """
-    rhs = OscElement.zero(order)
-    for np_ in half_range(mp, jp_):
-        entry = exp_sigma_entry(jp_, np_, m, mp, order)
-        if entry.is_zero():
-            continue
-        rhs = rhs + dressed[(m, np_)].scale(entry)
-    return lhs == rhs
+    return lhs == combine(((exp_sigma_entry(jp_, np_, m, mp, order), dressed[(m, np_)])
+                           for np_ in half_range(mp, jp_)), OscElement.zero(order))
 
 
 def _support(j, jp_, expansions):
@@ -290,12 +272,8 @@ def _collapse(j, jp_, products, dressed, order):
     """
     for l in weights(j):
         for lp in weights(jp_):
-            lhs = OscElement.zero(order)
-            for mp in half_range(lp, jp_):
-                entry = exp_sigma_entry(jp_, mp, -l, lp, order)
-                if entry.is_zero():
-                    continue
-                lhs = lhs + products[(l, mp)].scale(entry)
+            lhs = combine(((exp_sigma_entry(jp_, mp, -l, lp, order), products[(l, mp)])
+                           for mp in half_range(lp, jp_)), OscElement.zero(order))
             if lhs != dressed[(l, lp)]:
                 return f"collapse fails at l={l}, l'={lp}"
     return None

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .scalar import (SCALARS, AlgebraMap, HalfInt, HSeries, SeriesCombination,
-                     as_series, normal_product, sqrt_fraction)
+                     as_series, combine, normal_product, sqrt_fraction)
 from .su2data import fact
 
 
@@ -214,25 +214,20 @@ def _classical_symplecton(jt, mt, order, form):
     jp, jm = (j + m).as_int(), (j - m).as_int()
     if jp < 0 or jm < 0:
         raise ValueError(f"|m| > j: j={j}, m={m}")
+    mono = WeylElement.monomial
     if form == "A":
         pre = sqrt_fraction(Fraction(fact(2 * j) * fact(jm), fact(jp))) / (2 ** jm)
-        total = WeylElement.zero(order)
-        for s in range(jm + 1):
-            mono = (WeylElement.monomial(0, jm - s, order)
-                    * WeylElement.monomial(jp, 0, order)
-                    * WeylElement.monomial(0, s, order))
-            total = total + mono.scale(Fraction(1, fact(s) * fact(jm - s)))
+        terms = ((pre / (fact(s) * fact(jm - s)),
+                  mono(0, jm - s, order) * mono(jp, 0, order) * mono(0, s, order))
+                 for s in range(jm + 1))
     elif form == "B":
         pre = sqrt_fraction(Fraction(fact(2 * j) * fact(jp), fact(jm))) / (2 ** jp)
-        total = WeylElement.zero(order)
-        for s in range(jp + 1):
-            mono = (WeylElement.monomial(s, 0, order)
-                    * WeylElement.monomial(0, jm, order)
-                    * WeylElement.monomial(jp - s, 0, order))
-            total = total + mono.scale(Fraction(1, fact(s) * fact(jp - s)))
+        terms = ((pre / (fact(s) * fact(jp - s)),
+                  mono(s, 0, order) * mono(0, jm, order) * mono(jp - s, 0, order))
+                 for s in range(jp + 1))
     else:
         raise ValueError(f"unknown form {form!r}")
-    return total.scale(pre)
+    return combine(terms, WeylElement.zero(order))
 
 
 def symplecton_pivot(j, m):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from uhsl2.reps import Matrix
-from uhsl2.scalar import HSeries, sqrt_fraction
+from uhsl2.scalar import HSeries, RadicalSum, combine, sqrt_fraction
 from uhsl2.slh2 import osc_algebra, plane_algebra
 from uhsl2.weyl import OscElement, WeylElement
 
@@ -73,3 +73,77 @@ def test_shared_laws(kind):
             op()
     with pytest.raises(ValueError):
         x ** -1
+
+
+def _naive_sum(pairs, zero):
+    out = zero
+    for c, x in pairs:
+        out = out + x.scale(c)
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+def test_combine_is_the_weighted_sum(kind):
+    order = 8
+    x, y, _ = FACTORIES[kind](order)
+    zero = x - x
+
+    def h(k, c=1):
+        return HSeries.h_power(k, order, c)
+
+    cases = {
+        "ints": [(3, x), (-2, y)],
+        "fractions": [(Fraction(2, 3), x), (Fraction(-5, 7), y), (Fraction(1, 6), x * y)],
+        "radicals": [(sqrt_fraction(2), x), (RadicalSum({3: Fraction(1, 5), 1: 2}), y)],
+        "series": [(h(1, Fraction(1, 6)) + h(2, Fraction(3, 10)), x),
+                   (h(0, Fraction(2, 9)) - h(3, sqrt_fraction(Fraction(1, 8))), y)],
+        "zero coefficients": [(0, x), (Fraction(0), y), (HSeries.zero(order), x * y)],
+        "cancelling": [(2, x), (-1, x), (-1, x), (Fraction(1, 2), y), (h(1), zero)],
+        "truncated": [(h(5), x.scale(h(5))), (h(5, 3), y.scale(h(5)))],
+    }
+    for name, pairs in cases.items():
+        got = combine(pairs, zero)
+        assert got == _naive_sum(pairs, zero), name
+        assert all(not c.is_zero() for c in got.terms.values()), name
+    # h^5 * h^5 lies past h^8 and x, y start at h^0 and h^1
+    assert combine(cases["truncated"], zero).is_zero()
+    assert combine(cases["cancelling"], zero) == y.scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+def test_combine_matches_the_naive_sum_hypothesis(kind):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    x, y, _ = FACTORIES[kind](H)
+    zero = x - x
+    pool = [x, y, x * y, zero, y.scale(HSeries.h_power(H, H))]
+    fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 9))
+    radicals = st.dictionaries(st.sampled_from((1, 2, 3, 6)), fractions, max_size=2).map(RadicalSum)
+    series = st.lists(radicals, min_size=H + 1, max_size=H + 1).map(lambda cs: HSeries(cs, H))
+    coeffs = st.one_of(st.integers(-3, 3), fractions, radicals, series)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.lists(st.tuples(coeffs, st.sampled_from(pool)), max_size=5))
+    def law(pairs):
+        assert combine(pairs, zero) == _naive_sum(pairs, zero)
+
+    law()
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+def test_combine_of_nothing_is_zero(kind):
+    x, _, _ = FACTORIES[kind](H)
+    assert combine([], x).is_zero() and combine(iter(()), x) == x - x
+
+
+def test_combine_rejects_another_type_or_space():
+    weyl, osc = WeylElement.one(H), OscElement.one(H)
+    # another type, a scalar, another order, another shape, another presentation
+    cases = [(weyl, osc), (weyl, 1), (weyl, WeylElement.one(H + 1)),
+             (Matrix(2, 2, H), Matrix(2, 3, H, {(0, 2): 1})),
+             (osc_algebra(H).one(), plane_algebra(H).one())]
+    for like, x in cases:
+        with pytest.raises(ValueError):
+            combine([(1, x)], like)
+        with pytest.raises(ValueError):
+            combine([(1, like), (0, x)], like)

@@ -1,24 +1,27 @@
 """Tests for the spin-labelled polynomial families and their product law."""
 
 import random
+import sys
 from fractions import Fraction
+from types import CodeType
 
 import pytest
 
 from uhsl2 import symplecton
-from uhsl2.reps import exp_sigma_entry
+from uhsl2.reps import adjoint, exp_sigma_entry
 from uhsl2.scalar import (AlgebraMap, HSeries, HalfInt, RadicalSum, half_range,
                           spins_up_to, sqrt_fraction, weights)
 from uhsl2.symplecton import (_twist_conjugation, decompose_twisted, examples_check,
                               generating_function_check, h_symplecton_forms_check,
                               hypergeometric_form, osc_symplecton_poly, product_law_suite,
                               symmetry_check, tensor_operator_check)
-from uhsl2.weyl import (OscElement, WeylElement, classical_symplecton, exp_m_sigma,
-                        exp_m_sigma_osc, h_symplecton, to_oscillator)
+from uhsl2.weyl import (OscElement, WeylElement, WeylLetters, _NormalPoly,
+                        classical_symplecton, exp_m_sigma, exp_m_sigma_osc, h_symplecton,
+                        to_oscillator)
 
 
 def test_reflection_symmetry():
-    assert symmetry_check(HalfInt(4), 0), "reflection symmetry fails below spin 2"
+    assert symmetry_check(HalfInt(4)), "reflection symmetry fails below spin 2"
 
 
 def test_hypergeometric_form_matches_basis():
@@ -66,6 +69,28 @@ def test_forms_check_mutants_fail(monkeypatch, mutant):
 def test_tensor_operator_suite():
     ok, detail = tensor_operator_check(HalfInt(3), 4)
     assert ok, detail
+
+
+def test_adjoint_action_never_multiplies_by_the_unit(monkeypatch):
+    # Delta(J0) and Delta(J-) have terms with an empty left word; their leg
+    # must act on t directly, not as 1 * t.  Products are attributed to the
+    # action when they are made from the code of the function adjoint returns.
+    action = adjoint(WeylLetters(0), "J0").__code__
+    codes = {action, *(c for c in action.co_consts if isinstance(c, CodeType))}
+    mul = _NormalPoly.__mul__
+    unit_left = []  # one flag per product made by the action
+
+    def counting(self, other):
+        if sys._getframe(1).f_code in codes:
+            unit_left.append(self == 1)
+        return mul(self, other)
+
+    monkeypatch.setattr(_NormalPoly, "__mul__", counting)
+    ok, detail = tensor_operator_check(HalfInt(3), 8)
+    assert ok, detail
+    assert unit_left, "no product was attributed to the adjoint action"
+    n = sum(unit_left)
+    assert n == 0, f"{n} of {len(unit_left)} products have a unit left factor"
 
 
 def test_decompose_twisted_roundtrip():
