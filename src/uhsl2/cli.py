@@ -25,12 +25,11 @@ HALF, ONE = HalfInt.parse("1/2"), HalfInt.parse("1")
 class RunConfig:
     """Bounds and options shared by the verification suites."""
 
-    def __init__(self, order=8, max_spin=HalfInt.parse("2"), strict=False):
+    def __init__(self, order=8, max_spin=HalfInt.parse("2")):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
         self.order = order
         self.max_spin = HalfInt.of(max_spin)
-        self.strict = strict
 
     @property
     def product_spin(self):
@@ -173,18 +172,10 @@ def suite_product_law(cfg):
     checks, table = symplecton.product_law_suite(lim, cfg.order)
     rows = [_row("product-law", name, "product-law", params, ok, detail)
             for name, (ok, detail) in checks.items()]
-    if table is None:
-        rows.append(_row("product-law", "calibration_table", "product-calibration",
-                         params, False, checks["ratio_table"][1]))
-        return rows
-    for (j, jp_, k), value in sorted(table.items(),
-                                     key=lambda kv: (kv[0][0].twice,
-                                                     kv[0][1].twice,
-                                                     kv[0][2].twice)):
-        p = {"j": str(j), "jp": str(jp_), "k": str(k)}
-        ok = (value == 1) if cfg.strict else True
-        rows.append(_row("product-law", "calibration_ratio",
-                         "product-calibration", p, ok, f"ratio = {value}"))
+    for (j, jp_, k), (ok, detail) in sorted(table.items(),
+                                            key=lambda kv: tuple(x.twice for x in kv[0])):
+        rows.append(_row("product-law", "calibration_ratio", "product-calibration",
+                         {"j": str(j), "jp": str(jp_), "k": str(k)}, ok, detail))
     return rows
 
 
@@ -397,8 +388,7 @@ def cmd_verify(args, parser):
             parser.error(f"unknown suite {name!r}; see list-suites")
         if name not in seen:
             seen.append(name)
-    cfg = RunConfig(order=args.order, max_spin=args.max_spin,
-                    strict=args.strict_coefficients)
+    cfg = RunConfig(order=args.order, max_spin=args.max_spin)
 
     rows = []
     if cfg.max_spin.twice > 0:
@@ -506,8 +496,6 @@ def build_parser():
                      help="largest spin label exercised (default 2)")
     ver.add_argument("--suite", action="append",
                      help="suite name (repeatable; default all)")
-    ver.add_argument("--strict-coefficients", action="store_true",
-                     help="fail when a calibration ratio differs from 1")
 
     sub.add_parser("list-suites", help="list verification suites")
     return parser

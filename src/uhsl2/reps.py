@@ -219,7 +219,7 @@ def twist_matrix_oracle(j1, j2, order):
         i1 = widx(j1, m1)
         for (k2, m2), v in block.terms.items():
             out[(i1 * n2 + k2, i1 * n2 + m2)] = v
-    return Matrix(n1 * n2, n1 * n2, order, out)
+    return Matrix.zero(n1 * n2, n1 * n2, order)._like(out)
 
 
 def _dfact(n):
@@ -264,7 +264,7 @@ def twist_matrix_formula(j1, j2, order):
                     num, den, r = sqrt_ratio(factorial(top - a) * factorial(b),
                                              factorial(a) * factorial(top - b), qn, qd)
                     out[(base + b, base + a)] = HSeries._new({(d, r): num}, den, order)
-    return Matrix(n1 * n2, n1 * n2, order, out)
+    return Matrix.zero(n1 * n2, n1 * n2, order)._like(out)
 
 
 def twist_inverse(j1, j2, order):
@@ -557,7 +557,7 @@ def cg_matrix(j1, j2, order):
             c = cgc(j1, j2, j, m1, m2)
             if not c.is_zero():
                 out[(widx(j1, m1) * n2 + widx(j2, m2), col)] = HSeries.constant(c, order)
-    return Matrix(n1 * n2, n1 * n2, order, out)
+    return Matrix.zero(n1 * n2, n1 * n2, order)._like(out)
 
 
 def coupled_labels(j1, j2):

@@ -385,7 +385,7 @@ def matrix_gens(pres, suffix=""):
 
 def _nc_matmul(a, b, pres):
     """The product of two matrices, lists of rows, over pres."""
-    return [[sum((row[k] * b[k][j] for k in range(len(b))), pres.zero())
+    return [[combine(((1, row[k] * b[k][j]) for k in range(len(b))), pres.zero())
              for j in range(len(b[0]))] for row in a]
 
 
@@ -759,7 +759,7 @@ def dfunction_coalgebra_check(j, order):
     right = {key: embed(e, t2, t2.starts[1]) for key, e in dmat.items()}
     for k in weights(j):
         for m in weights(j):
-            rhs = sum((left[(k, t)] * right[(t, m)] for t in weights(j)), t2.zero())
+            rhs = combine(((1, left[(k, t)] * right[(t, m)]) for t in weights(j)), t2.zero())
             if comul(dmat[(k, m)]) != rhs:
                 return False, f"comultiplication fails at entry ({k},{m})"
             want = quo.one() if k == m else quo.zero()

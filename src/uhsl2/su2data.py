@@ -1,8 +1,8 @@
 """Classical sl(2) coupling data over exact scalars.
 
 Clebsch-Gordan coefficients in the Condon-Shortley convention, Racah W and 6j
-coefficients, and the triangle coefficient nabla used by the symplecton
-product law.
+coefficients, and the triangle coefficient nabla and the normalization N
+used by the symplecton product law.
 
 All values are RadicalSum, the exact constants of the scalar layer (a single
 term q*sqrt(r) for every individual coefficient here), computed from the
@@ -134,6 +134,13 @@ def bracket_coeff(k, j, jp):
         return RadicalSum.zero()
     two_pow = Fraction(2) ** (k - j - jp).as_int()
     return nabla(k, j, jp) * sqrt_fraction(Fraction(1, k.twice + 1)) * two_pow
+
+
+def product_norm(j, jp, k):
+    """Product-law normalization N(j, j', k) = sqrt((2j)! (2j')! / (2k)!)."""
+    j, jp, k = HalfInt.of(j), HalfInt.of(jp), HalfInt.of(k)
+    num, den, r = sqrt_ratio(factorial(j.twice) * factorial(jp.twice), factorial(k.twice))
+    return RadicalSum._new({(0, r): num}, den, 0)
 
 
 def verify_racah_identity(a, b, c, e):

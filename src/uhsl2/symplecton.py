@@ -19,7 +19,7 @@ from operator import mul
 
 from .scalar import (AlgebraMap, HalfInt, HSeries, add_into, combine, half_range,
                      spins_up_to, sqrt_fraction, weights)
-from .su2data import bracket_coeff, cgc, fact, triangle_ok
+from .su2data import bracket_coeff, cgc, fact, product_norm, triangle_ok
 from .reps import adjoint, exp_sigma_entry
 from .weyl import (OscElement, WeylElement, WeylLetters, classical_symplecton, exp_m_sigma,
                    exp_m_sigma_osc, h_symplecton, ladder_coeff, symplecton_pivot,
@@ -86,12 +86,18 @@ def hypergeometric_form(j, m, order):
 
 
 def osc_symplecton_poly(j, m, order, form="A"):
-    """Closed-form twisted polynomial in the deformed oscillator generators.
+    """Closed-form twisted polynomial in the deformed oscillator generators,
+    cached.
 
     Two independent summation forms; both must match the twist-dressed
     classical polynomial under the change of generators.
     """
-    j, m = HalfInt.of(j), HalfInt.of(m)
+    return _osc_symplecton_poly(HalfInt.of(j).twice, HalfInt.of(m).twice, order, form)
+
+
+@lru_cache(maxsize=None)
+def _osc_symplecton_poly(jt, mt, order, form):
+    j, m = HalfInt(jt), HalfInt(mt)
     jm, jp = (j - m).as_int(), (j + m).as_int()
     ms = (2 * m).as_int()
     A = OscElement.monomial(1, 0, order)
@@ -279,47 +285,30 @@ def _collapse(j, jp_, products, dressed, order):
     return None
 
 
-def _pair_ratios(j, jp_, expansions, order):
-    """Reduced-coupling calibration constants of one spin pair, {(j, j', k): r}.
+def _pair_law(j, jp_, expansions, order):
+    """The product law on one spin pair, {(j, j', k): (ok, detail)}.
 
-    The twisted product law predicts the (k, mu) coefficient of P~_j^m P~_j'^m'
-    as <k|j|j'> <j' n'| exp(m s) |j' m'> C(j', j, k; n', m) with n' = mu - m.
-    For every k the expanded coefficient divided by the predicted one must be
-    one constant for all weights; a ValueError reports an inconsistent or
-    h-dependent ratio.
+    The (k, mu) coefficient of P~_j^m P~_j'^m' must equal
+    N(j, j', k) <k|j|j'> <j' n'| exp(m s) |j' m'> C(j', j, k; n', m) with
+    n' = mu - m, exactly; a zero prediction requires a zero coefficient.
+    The detail is the ratio N, or the first (m, m', mu) that differs.
     """
     zero = HSeries.zero(order)
+
+    def law(k, reduced, m, mp, mu):
+        c = cgc(jp_, j, k, mu - m, m)
+        return zero if c.is_zero() else \
+            exp_sigma_entry(jp_, mu - m, m, mp, order).scale(reduced * c)
+
     table = {}
     for k in half_range(HalfInt(abs(j.twice - jp_.twice)), j + jp_):
-        bracket = bracket_coeff(k, j, jp_)
-        ratio = None
-        for (m, mp), decomp in expansions.items():
-            for mu in weights(k):
-                np_ = mu - m
-                f = zero if abs(np_.twice) > jp_.twice else \
-                    exp_sigma_entry(jp_, np_, m, mp, order).scale(bracket * cgc(jp_, j, k, np_, m))
-                o = decomp.get((k, mu), zero)
-                if f.is_zero():
-                    if not o.is_zero():
-                        raise ValueError(
-                            f"oracle has a component the formula misses: "
-                            f"({j},{m};{jp_},{mp}) -> ({k},{mu})")
-                    continue
-                t = f.valuation()
-                fc = f.coeff(t)
-                r = o.divide_exact(t).scale(fc.invert())
-                if not r.is_constant():
-                    raise ValueError(
-                        f"h-dependent ratio at ({j},{m};{jp_},{mp}) -> ({k},{mu})")
-                r0 = r.at_h0()
-                if ratio is None:
-                    ratio = r0
-                elif ratio != r0:
-                    raise ValueError(
-                        f"weight-dependent ratio at ({j},{jp_},{k}): "
-                        f"{ratio} vs {r0} at m={m}, m'={mp}, mu={mu}")
-        if ratio is not None:
-            table[(j, jp_, k)] = ratio
+        norm = product_norm(j, jp_, k)
+        reduced = norm * bracket_coeff(k, j, jp_)
+        bad = next((f"coefficient differs from ratio {norm} times the law at "
+                    f"m={m}, m'={mp}, mu={mu}"
+                    for (m, mp), decomp in expansions.items() for mu in weights(k)
+                    if decomp.get((k, mu), zero) != law(k, reduced, m, mp, mu)), None)
+        table[(j, jp_, k)] = _verdict(bad, f"ratio = {norm}")
     return table
 
 
@@ -366,34 +355,29 @@ def product_law_suite(max_j, order):
     Each pair's products, their exact expansions and its dressed classical
     products are built once, in the oscillator letters, where every table is
     a polynomial in h, and every layer is read off those three tables.
-    Returns ({check: (ok, detail)}, ratio table), the table being None when
-    its layer fails.
+    Returns ({check: (ok, detail)}, {(j, j', k): (ok, detail)}), the table
+    holding the product law's verdict on each spin triple.
     """
-    member = lru_cache(maxsize=None)(osc_symplecton_poly)
-
-    bad_product = bad_support = bad_collapse = ratio_error = None
+    bad_product = bad_support = bad_collapse = None
     table, pairing = {}, []
     for j, jp_ in _spin_pairs(max_j):
-        products, dressed = _pair_tables(j, jp_, member, order)
-        expansions = {key: decompose_twisted(w, member) for key, w in products.items()}
+        products, dressed = _pair_tables(j, jp_, osc_symplecton_poly, order)
+        expansions = {key: decompose_twisted(w, osc_symplecton_poly)
+                      for key, w in products.items()}
         for (m, mp), w in products.items():
             if not _intermediate_holds(jp_, m, mp, w, dressed, order):
                 bad_product = f"({j},{m};{jp_},{mp})"
         bad_support = _support(j, jp_, expansions) or bad_support
         bad_collapse = _collapse(j, jp_, products, dressed, order) or bad_collapse
-        if ratio_error is None:
-            try:
-                table.update(_pair_ratios(j, jp_, expansions, order))
-            except ValueError as err:
-                ratio_error = str(err)
+        table.update(_pair_law(j, jp_, expansions, order))
         pairing.append((j, *_pair_pairing(j, jp_, expansions, order)))
 
+    bad_law = next((f"({j},{jp_},{k}): {detail}"
+                    for (j, jp_, k), (ok, detail) in table.items() if not ok), None)
     out = {"intermediate_identity": _verdict(bad_product, "twist redistribution identity holds"),
            "support": _verdict(bad_support, "support confined"),
            "twisted_sum_collapse": _verdict(bad_collapse, "twist-summed products collapse"),
-           "ratio_table": _verdict(ratio_error, f"{len(table)} spin triples calibrated")}
-    if ratio_error is not None:
-        table = None
+           "ratio_table": _verdict(bad_law, f"{len(table)} spin triples calibrated")}
     # per pair (j, c_j, diagonal failure, weight failure); a bad diagonal
     # outranks every weight failure
     consts = {j: c for j, c, _, _ in pairing if c is not None}
@@ -401,15 +385,14 @@ def product_law_suite(max_j, order):
            or next((w for _, _, _, w in pairing if w), None))
     out["pairing"] = _verdict(bad, "scalar pairing is a spin constant times the twist entry")
 
-    # The pairing constant and the scalar calibration of the product law
-    # measure the same thing; they must agree as c_j = r(j,j,0) / 4^j.
-    if bad is None and table is not None:
-        ok, detail = True, "pairing constants match the product-law calibration"
-        for j, c in consts.items():
-            want = table[(j, j, HalfInt(0))] * Fraction(1, 2 ** (2 * j).as_int())
-            if c != want:
-                ok, detail = False, f"constant at j={j} is {c}, product law gives {want}"
-        out["pairing_normalization"] = (ok, detail)
+    # The pairing constant is the product law's scalar calibration:
+    # c_j = N(j, j, 0) / 4^j = (2j)! / 4^j.
+    if bad is None:
+        want = {j: Fraction(fact(2 * j), 2 ** (2 * j).as_int()) for j in consts}
+        bad_norm = next((f"constant at j={j} is {c}, (2j)!/4^j gives {want[j]}"
+                         for j, c in consts.items() if c != want[j]), None)
+        out["pairing_normalization"] = _verdict(
+            bad_norm, "pairing constants match the product-law calibration")
     return out, table
 
 

@@ -6,6 +6,7 @@ coupling data, hand-entered low-spin forms), never from the code under test.
 """
 
 from fractions import Fraction
+from math import factorial
 import random
 
 from uhsl2.scalar import (HSeries, RadicalSum, HalfInt, half_range, weights,
@@ -153,19 +154,25 @@ def test_09_explicit_low_spin_examples():
 
 
 def test_10_product_expansion_structure():
-    lim = HalfInt(3)
-    checks, table = product_law_suite(lim, ORDER)
-    for name, (ok, detail) in checks.items():
-        assert ok, f"{name}: {detail}"
-    # every triangle-admissible spin triple carries one constant ratio
-    spins = spins_up_to(lim)
-    for j in spins:
-        for jp_ in spins:
-            for k in half_range(HalfInt(abs(j.twice - jp_.twice)), j + jp_):
-                assert (j, jp_, k) in table, f"no ratio for triple ({j},{jp_},{k})"
+    # every triangle-admissible spin triple obeys the law, with the ratio
+    # N(j, j', k) = sqrt((2j)! (2j')! / (2k)!) between the expansion and the
+    # classical coupling convention
+    for lim, order, ntriples in ((HalfInt(3), ORDER, 23), (HalfInt(5), 8, 80)):
+        checks, table = product_law_suite(lim, order)
+        for name, (ok, detail) in checks.items():
+            assert ok, f"{name} at max spin {lim}: {detail}"
+        spins = spins_up_to(lim)
+        triples = [(j, jp_, k) for j in spins for jp_ in spins
+                   for k in half_range(HalfInt(abs(j.twice - jp_.twice)), j + jp_)]
+        assert len(triples) == ntriples and set(table) == set(triples)
+        for j, jp_, k in triples:
+            n = sqrt_fraction(Fraction(factorial(j.twice) * factorial(jp_.twice),
+                                       factorial(k.twice)))
+            assert table[(j, jp_, k)] == (True, f"ratio = {n}"), \
+                f"triple ({j},{jp_},{k}): {table[(j, jp_, k)]}"
     one = RadicalSum({1: Fraction(1)})
-    assert table[(HALF, HALF, HalfInt(0))] == one
-    assert table[(HALF, HALF, HalfInt(2))] == sqrt_fraction(Fraction(1, 2))
+    assert table[(HALF, HALF, HalfInt(0))] == (True, f"ratio = {one}")
+    assert table[(HALF, HALF, HalfInt(2))] == (True, f"ratio = {sqrt_fraction(Fraction(1, 2))}")
 
 
 def test_11_generating_functions():

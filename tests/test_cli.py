@@ -4,12 +4,14 @@ import hashlib
 import json
 import pathlib
 import shlex
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from uhsl2 import cli, slh2, symplecton
 from uhsl2.cli import RunConfig, main, suite_product_law
-from uhsl2.scalar import HalfInt
+from uhsl2.scalar import HalfInt, sqrt_fraction
 
 
 def run(capsys, *argv):
@@ -160,7 +162,7 @@ def test_verify_json_schema_and_determinism(capsys):
 
 def test_product_law_expands_each_product_once(monkeypatch):
     # spins 1/2 and 1 give 25 distinct (j, m, j', m'); each product is
-    # expanded once and the calibration rows reuse the suite's ratio table
+    # expanded once and the calibration rows reuse the suite's table
     calls = []
     expand = symplecton.decompose_twisted
 
@@ -174,21 +176,29 @@ def test_product_law_expands_each_product_once(monkeypatch):
     assert all(row["pass"] for row in rows)
     monkeypatch.undo()
     _, table = symplecton.product_law_suite(HalfInt(2), 2)
-    want = [({"j": str(j), "jp": str(jp_), "k": str(k)}, f"ratio = {value}")
-            for (j, jp_, k), value in sorted(
+    want = [({"j": str(j), "jp": str(jp_), "k": str(k)}, ok, detail)
+            for (j, jp_, k), (ok, detail) in sorted(
                 table.items(), key=lambda kv: tuple(x.twice for x in kv[0]))]
-    got = [(row["params"], row["detail"]) for row in rows
+    got = [(row["params"], row["pass"], row["detail"]) for row in rows
            if row["check"] == "calibration_ratio"]
     assert got == want
 
 
-def test_strict_coefficients_fails_on_convention_ratio(capsys):
-    # one calibration ratio is 1/sqrt(2) under the classical coupling
-    # convention, so strict mode must report a failure
-    code, out = run(capsys, "verify", "-H", "2", "--max-spin", "1/2",
-                    "--suite", "product-law", "--strict-coefficients")
+def test_calibration_ratio_fails_off_the_closed_form(capsys, monkeypatch):
+    # with (2k+1)! in place of (2k)! in N(j, j', k) every triple but the
+    # k = 0 ones expects the wrong ratio, so those rows and the run fail
+    def wrong_norm(j, jp, k):
+        return sqrt_fraction(Fraction(factorial(j.twice) * factorial(jp.twice),
+                                      factorial(k.twice + 1)))
+
+    monkeypatch.setattr(symplecton, "product_norm", wrong_norm)
+    code, out = run(capsys, "verify", "-H", "2", "--max-spin", "1",
+                    "--suite", "product-law", "--format", "json")
     assert code == 1
-    assert "FAIL" in out and "ratio" in out
+    rows = [row for row in json.loads(out)["rows"] if row["check"] == "calibration_ratio"]
+    assert {row["params"]["k"] for row in rows} == {"0", "1/2", "1", "3/2", "2"}
+    for row in rows:
+        assert row["pass"] == (row["params"]["k"] == "0"), row
 
 
 def test_error_inside_suite_is_failed_row(capsys, monkeypatch):
@@ -227,6 +237,14 @@ def test_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nosuch"])
     assert exc.value.code == 2
+
+
+def test_strict_coefficients_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-H", "2", "--max-spin", "1/2", "--suite", "product-law",
+              "--strict-coefficients"])
+    assert exc.value.code == 2
+    assert "--strict-coefficients" in capsys.readouterr().err
 
 
 def test_bad_spin_is_usage_error(capsys):

@@ -11,6 +11,7 @@ from uhsl2 import symplecton
 from uhsl2.reps import adjoint, exp_sigma_entry
 from uhsl2.scalar import (AlgebraMap, HSeries, HalfInt, RadicalSum, half_range,
                           spins_up_to, sqrt_fraction, weights)
+from uhsl2.su2data import product_norm
 from uhsl2.symplecton import (_twist_conjugation, decompose_twisted, examples_check,
                               generating_function_check, h_symplecton_forms_check,
                               hypergeometric_form, osc_symplecton_poly, product_law_suite,
@@ -225,28 +226,29 @@ def test_ratio_table_values(law_to_spin_one):
     table = law_to_spin_one[1]
     half = HalfInt(1)
     one = HalfInt(2)
-    assert table[(half, half, HalfInt(0))] == RadicalSum.one(), \
+    assert product_norm(half, half, HalfInt(0)) == RadicalSum.one(), \
         "spin (1/2,1/2)->0 calibration should be 1"
-    assert table[(half, half, one)] == sqrt_fraction(Fraction(1, 2)), \
+    assert product_norm(half, half, one) == sqrt_fraction(Fraction(1, 2)), \
         "spin (1/2,1/2)->1 calibration should be 1/sqrt(2)"
     for j in (half, one):
         for jp in (half, one):
             lo = HalfInt(abs(j.twice - jp.twice))
             for k in half_range(lo, j + jp):
-                assert (j, jp, k) in table, f"missing calibration for ({j},{jp},{k})"
+                assert table.get((j, jp, k)) == (True, f"ratio = {product_norm(j, jp, k)}"), \
+                    f"calibration fails for ({j},{jp},{k})"
 
 
 def test_scalar_pairing(law_to_spin_one):
-    checks, table = law_to_spin_one
+    checks, _ = law_to_spin_one
     ok, detail = checks["pairing"]
     assert ok, detail
-    # pairing_normalization passes exactly when c_j = r(j,j,0) / 4^j, so
-    # r(1/2,1/2,0) = 1 and r(1,1,0) = 2 give c_1/2 = c_1 = 1/2
+    # pairing_normalization passes exactly when c_j = (2j)!/4^j, which is
+    # N(j, j, 0)/4^j: N(1/2,1/2,0) = 1 and N(1,1,0) = 2 give c_1/2 = c_1 = 1/2
     ok, detail = checks["pairing_normalization"]
     assert ok, detail
-    assert table[(HalfInt(1), HalfInt(1), HalfInt(0))] == RadicalSum.one(), \
+    assert product_norm(HalfInt(1), HalfInt(1), HalfInt(0)) == RadicalSum.one(), \
         "spin-1/2 pairing constant should be 1/2"
-    assert table[(HalfInt(2), HalfInt(2), HalfInt(0))] \
+    assert product_norm(HalfInt(2), HalfInt(2), HalfInt(0)) \
         == RadicalSum({1: Fraction(2)}), "spin-1 pairing constant should be 1/2"
 
 
