@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .scalar import HSeries, HalfInt, combine, spins_up_to, weights
+from .scalar import HSeries, HalfInt, combine, spin_pairs, spins_up_to, weights
 from . import reps
 from . import slh2
 from . import su2data
@@ -42,18 +42,13 @@ def _row(suite, check, ref, params, ok, detail=""):
             "pass": bool(ok), "detail": detail}
 
 
-def _spin_grid(lim):
-    spins = spins_up_to(lim)
-    return [(j1, j2) for j1 in spins for j2 in spins]
-
-
 # ----------------------------------------------------------------------
 # verification suites; each maps a RunConfig to a list of report rows
 
 
 def suite_twist(cfg):
     rows = []
-    for j1, j2 in _spin_grid(cfg.max_spin):
+    for j1, j2 in spin_pairs(cfg.max_spin):
         params = {"j1": str(j1), "j2": str(j2)}
         f = reps.twist_matrix_oracle(j1, j2, cfg.order)
         ok = reps.twist_matrix_formula(j1, j2, cfg.order) == f
@@ -82,7 +77,7 @@ def suite_hopf(cfg):
 def suite_coupled_basis(cfg):
     rows = []
     lim = min(cfg.max_spin, ONE)
-    for j1, j2 in _spin_grid(lim):
+    for j1, j2 in spin_pairs(lim):
         if j2 > j1:
             continue
         params = {"j1": str(j1), "j2": str(j2)}

@@ -733,3 +733,9 @@ def weights(j):
 def spins_up_to(max_j):
     """Spins 1/2, 1, ..., max_j."""
     return [HalfInt(t) for t in range(1, HalfInt.of(max_j).twice + 1)]
+
+
+def spin_pairs(max_j):
+    """Every ordered pair of spins up to max_j, the first spin varying slowest."""
+    spins = spins_up_to(max_j)
+    return [(j, jp) for j in spins for jp in spins]

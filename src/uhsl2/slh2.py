@@ -389,9 +389,9 @@ def _nc_matmul(a, b, pres):
              for j in range(len(b[0]))] for row in a]
 
 
-def determinant(pres, suffix=""):
+def determinant(pres):
     """x y - u v - h x v, the central group-like combination."""
-    g = lambda name: pres.gen(name + suffix)
+    g = pres.gen
     h1 = HSeries.h_power(1, pres.order)
     return g("x") * g("y") - g("u") * g("v") - (g("x") * g("v")).scale(h1)
 
@@ -565,13 +565,10 @@ def rtt_check(order):
                              else "all sixteen entries rewrite to zero")
 
     free = free_group_words(order)
-    rels = relation_words(group_algebra(order, False), free)
-    h1 = HSeries.h_power(1, order)
-    h2 = HSeries.h_power(2, order)
-    g = free.gen
-    # det - 1 written in normal words only, so no relation word meets it
-    dm1 = (g("x") * g("y") + (g("y") * g("v")).scale(h1)
-           + (g("v") * g("v")).scale(h2) - g("v") * g("u") - free.one())
+    full = group_algebra(order, False)
+    rels = relation_words(full, free)
+    # det - 1 in the normal words of the full algebra, so no relation word meets it
+    dm1 = embed(determinant(full), free) - free.one()
     zero = HSeries.zero(order)
 
     free_entries = _exchange_entries(free, rmat)

@@ -18,7 +18,7 @@ from math import prod
 from operator import mul
 
 from .scalar import (AlgebraMap, HalfInt, HSeries, add_into, combine, half_range,
-                     spins_up_to, sqrt_fraction, weights)
+                     spin_pairs, spins_up_to, sqrt_fraction, weights)
 from .su2data import bracket_coeff, cgc, fact, product_norm, triangle_ok
 from .reps import adjoint, exp_sigma_entry
 from .weyl import (OscElement, WeylElement, WeylLetters, classical_symplecton, exp_m_sigma,
@@ -213,11 +213,6 @@ def decompose_twisted(w, member):
     return out
 
 
-def _spin_pairs(max_j):
-    spins = spins_up_to(max_j)
-    return [(j, jp_) for j in spins for jp_ in spins]
-
-
 def _twist_conjugation(m, order):
     """c_m(X) = exp(-m s) X exp(m s) in the oscillator letters: as exp(m s) =
     (1 - h A^2)^m and [Abar, A] = 1 - h A^2, it sends Abar to Abar - 2m h A."""
@@ -226,27 +221,39 @@ def _twist_conjugation(m, order):
     return AlgebraMap({0: A, 1: OscElement.monomial(0, 1, order) - shift})
 
 
-def _pair_tables(j, jp_, member, order):
+def _pair_tables(j, jp_, order):
     """Every product P~_j^m P~_j'^m' of one spin pair, and every dressed
     classical product P_j^m P_j'^n' exp((m+n') s) = P~_j^m c_m(P~_j'^n'),
     both keyed by the weights."""
     products, dressed = {}, {}
     for m in weights(j):
         c_m = _twist_conjugation(m, order)
+        left = osc_symplecton_poly(j, m, order)
         for mp in weights(jp_):
-            products[(m, mp)] = member(j, m, order) * member(jp_, mp, order)
-            dressed[(m, mp)] = member(j, m, order) * c_m(member(jp_, mp, order))
+            right = osc_symplecton_poly(jp_, mp, order)
+            products[(m, mp)] = left * right
+            dressed[(m, mp)] = left * c_m(right)
     return products, dressed
 
 
-def _intermediate_holds(jp_, m, mp, lhs, dressed, order):
-    """The product lhs = P~_j^m P~_j'^m' is the twist-redistributed
-    classical product.
+def _twist_sum(jp_, sign, table, order):
+    """sum_n' <j' n'|exp(sign m s)|j' m'> table[(m, n')] for every (m, m') of
+    one spin pair; the twist entry vanishes unless m' <= n' <= j'.
 
-    P~_j^m P~_j'^m' = sum_n' <j' n'|exp(m s)|j' m'> P_j^m P_j'^n' exp((n'+m) s).
+    With sign = +1 on the dressed products it is the twist redistribution
+    P~_j^m P~_j'^m' = sum_n' <j' n'|exp(m s)|j' m'> P_j^m P_j'^n' exp((m+n') s);
+    with sign = -1 on the products it collapses them back to the dressed ones.
     """
-    return lhs == combine(((exp_sigma_entry(jp_, np_, m, mp, order), dressed[(m, np_)])
-                           for np_ in half_range(mp, jp_)), OscElement.zero(order))
+    return {(m, mp): combine(((exp_sigma_entry(jp_, np_, sign * m, mp, order), table[(m, np_)])
+                              for np_ in half_range(mp, jp_)), OscElement.zero(order))
+            for m, mp in table}
+
+
+def _first_miss(j, jp_, got, want, prefix=""):
+    """The first weight pair of one spin pair where got differs from want,
+    named as prefix(j,m;j',m'); None when they agree."""
+    return next((f"{prefix}({j},{m};{jp_},{mp})"
+                 for (m, mp), w in want.items() if got[(m, mp)] != w), None)
 
 
 def _support(j, jp_, expansions):
@@ -265,23 +272,7 @@ def _support(j, jp_, expansions):
             if not (mp <= np_ <= jp_):
                 return f"weight {mu} outside band at ({j},{m};{jp_},{mp})"
             if mu != m + mp and not c.at_h0().is_zero():
-                return f"classical limit leaks to weight {mu}"
-    return None
-
-
-def _collapse(j, jp_, products, dressed, order):
-    """Summing the products of one spin pair against twist entries recovers
-    a single dressed product; the first failure, or None.
-
-    sum_{m m'} P~_j^m P~_j'^m' F_{m,m'; l,l'} = P_j^l P_j'^l' exp((l+l') s),
-    using F_{m,m'; l,l'} = delta_{m,l} <j' m'|exp(-l s)|j' l'>.
-    """
-    for l in weights(j):
-        for lp in weights(jp_):
-            lhs = combine(((exp_sigma_entry(jp_, mp, -l, lp, order), products[(l, mp)])
-                           for mp in half_range(lp, jp_)), OscElement.zero(order))
-            if lhs != dressed[(l, lp)]:
-                return f"collapse fails at l={l}, l'={lp}"
+                return f"classical limit leaks to weight {mu} at ({j},{m};{jp_},{mp})"
     return None
 
 
@@ -312,37 +303,40 @@ def _pair_law(j, jp_, expansions, order):
     return table
 
 
-def _pair_pairing(j, jp_, expansions, order):
-    """Pairing on one spin pair: (c_j or None, diagonal failure, weight failure).
+def _pairing_constant(j):
+    """(2j)!/4^j, the scalar pairing of the spin-j family."""
+    return Fraction(fact(2 * j), 2 ** j.twice)
 
-    The scalar part of (-1)^(j-m) P~_j^(-m) P~_j'^m' must vanish for j != j'
-    and otherwise equal c_j <j m|exp(-m s)|j m'> with a constant c_j that
-    depends on the spin alone; c_j is pinned by the diagonal weights, where
-    the twist entry is 1.  The scalar part of a reflected product is read
-    off the expansion of the unreflected one, P~_j^(-m) P~_j'^m', which is
-    exact because the expansion is linear.
+
+def _pairing_tables(j, jp_, expansions, order):
+    """The scalar part of (-1)^(j-m) P~_j^(-m) P~_j'^m' and its closed form
+    delta_jj' (2j)!/4^j <j m|exp(-m s)|j m'>, both keyed by (m, m').
+
+    The scalar part of a reflected product is read off the expansion of the
+    unreflected one, P~_j^(-m) P~_j'^m', which is exact because the
+    expansion is linear.
     """
     zero = HSeries.zero(order)
-
-    def scalar_part(m, mp):
-        c = expansions[(-m, mp)].get((HalfInt(0), HalfInt(0)), zero)
-        return -c if (j - m).as_int() % 2 else c
-
-    const = None
-    if j == jp_:
-        ref = scalar_part(j, j)
-        if not ref.is_constant() or ref.at_h0().is_zero():
-            return None, f"diagonal pairing at j={j} is not a nonzero constant", None
-        const = ref.at_h0()
+    got, want = {}, {}
     for m in weights(j):
         for mp in weights(jp_):
-            if const is None:
-                expect = zero
-            else:
-                expect = exp_sigma_entry(j, m, -m, mp, order).scale(const)
-            if scalar_part(m, mp) != expect:
-                return const, None, f"pairing fails at ({j},{m};{jp_},{mp})"
-    return const, None, None
+            c = expansions[(-m, mp)].get((HalfInt(0), HalfInt(0)), zero)
+            got[(m, mp)] = -c if (j - m).as_int() % 2 else c
+            want[(m, mp)] = (exp_sigma_entry(j, m, -m, mp, order).scale(_pairing_constant(j))
+                             if j == jp_ else zero)
+    return got, want
+
+
+def _normalization_failure(max_j):
+    """The first spin whose product-law k = 0 coefficient,
+    N(j, j, 0) <0|j|j> C(j, j, 0; j, -j), is not the pairing constant
+    (2j)!/4^j; None when there is none."""
+    k = HalfInt(0)
+    for j in spins_up_to(max_j):
+        c = product_norm(j, j, k) * bracket_coeff(k, j, j) * cgc(j, j, k, j, -j)
+        if c != _pairing_constant(j):
+            return f"constant at j={j} is {c}, (2j)!/4^j gives {_pairing_constant(j)}"
+    return None
 
 
 def _verdict(bad, good):
@@ -354,45 +348,42 @@ def product_law_suite(max_j, order):
 
     Each pair's products, their exact expansions and its dressed classical
     products are built once, in the oscillator letters, where every table is
-    a polynomial in h, and every layer is read off those three tables.
+    a polynomial in h, and every layer is read off those three tables and
+    compared with a closed form.  A failing layer names its first failure,
+    in the first failing spin pair of spin_pairs.
     Returns ({check: (ok, detail)}, {(j, j', k): (ok, detail)}), the table
     holding the product law's verdict on each spin triple.
     """
-    bad_product = bad_support = bad_collapse = None
-    table, pairing = {}, []
-    for j, jp_ in _spin_pairs(max_j):
-        products, dressed = _pair_tables(j, jp_, osc_symplecton_poly, order)
+    first, table = {}, {}
+    for j, jp_ in spin_pairs(max_j):
+        products, dressed = _pair_tables(j, jp_, order)
         expansions = {key: decompose_twisted(w, osc_symplecton_poly)
                       for key, w in products.items()}
-        for (m, mp), w in products.items():
-            if not _intermediate_holds(jp_, m, mp, w, dressed, order):
-                bad_product = f"({j},{m};{jp_},{mp})"
-        bad_support = _support(j, jp_, expansions) or bad_support
-        bad_collapse = _collapse(j, jp_, products, dressed, order) or bad_collapse
-        table.update(_pair_law(j, jp_, expansions, order))
-        pairing.append((j, *_pair_pairing(j, jp_, expansions, order)))
+        law = _pair_law(j, jp_, expansions, order)
+        table.update(law)
+        found = {
+            "intermediate_identity": _first_miss(j, jp_, products,
+                                                 _twist_sum(jp_, 1, dressed, order)),
+            "support": _support(j, jp_, expansions),
+            "twisted_sum_collapse": _first_miss(j, jp_, dressed,
+                                                _twist_sum(jp_, -1, products, order),
+                                                "collapse fails at "),
+            "ratio_table": next((f"({j},{jp_},{k}): {detail}"
+                                 for (_, _, k), (ok, detail) in law.items() if not ok), None),
+            "pairing": _first_miss(j, jp_, *_pairing_tables(j, jp_, expansions, order),
+                                   "pairing fails at ")}
+        for name, bad in found.items():
+            if bad is not None:
+                first.setdefault(name, bad)
 
-    bad_law = next((f"({j},{jp_},{k}): {detail}"
-                    for (j, jp_, k), (ok, detail) in table.items() if not ok), None)
-    out = {"intermediate_identity": _verdict(bad_product, "twist redistribution identity holds"),
-           "support": _verdict(bad_support, "support confined"),
-           "twisted_sum_collapse": _verdict(bad_collapse, "twist-summed products collapse"),
-           "ratio_table": _verdict(bad_law, f"{len(table)} spin triples calibrated")}
-    # per pair (j, c_j, diagonal failure, weight failure); a bad diagonal
-    # outranks every weight failure
-    consts = {j: c for j, c, _, _ in pairing if c is not None}
-    bad = (next((d for _, _, d, _ in pairing if d), None)
-           or next((w for _, _, _, w in pairing if w), None))
-    out["pairing"] = _verdict(bad, "scalar pairing is a spin constant times the twist entry")
-
-    # The pairing constant is the product law's scalar calibration:
-    # c_j = N(j, j, 0) / 4^j = (2j)! / 4^j.
-    if bad is None:
-        want = {j: Fraction(fact(2 * j), 2 ** (2 * j).as_int()) for j in consts}
-        bad_norm = next((f"constant at j={j} is {c}, (2j)!/4^j gives {want[j]}"
-                         for j, c in consts.items() if c != want[j]), None)
-        out["pairing_normalization"] = _verdict(
-            bad_norm, "pairing constants match the product-law calibration")
+    passing = {"intermediate_identity": "twist redistribution identity holds",
+               "support": "support confined",
+               "twisted_sum_collapse": "twist-summed products collapse",
+               "ratio_table": f"{len(table)} spin triples calibrated",
+               "pairing": "scalar pairing is a spin constant times the twist entry"}
+    out = {name: _verdict(first.get(name), good) for name, good in passing.items()}
+    out["pairing_normalization"] = _verdict(
+        _normalization_failure(max_j), "pairing constants match the product-law calibration")
     return out, table
 
 

@@ -9,9 +9,9 @@ from math import factorial
 
 import pytest
 
-from uhsl2 import cli, slh2, symplecton
+from uhsl2 import cli, slh2, su2data, symplecton
 from uhsl2.cli import RunConfig, main, suite_product_law
-from uhsl2.scalar import HalfInt, sqrt_fraction
+from uhsl2.scalar import HalfInt, RadicalSum, sqrt_fraction
 
 
 def run(capsys, *argv):
@@ -184,21 +184,61 @@ def test_product_law_expands_each_product_once(monkeypatch):
     assert got == want
 
 
-def test_calibration_ratio_fails_off_the_closed_form(capsys, monkeypatch):
-    # with (2k+1)! in place of (2k)! in N(j, j', k) every triple but the
-    # k = 0 ones expects the wrong ratio, so those rows and the run fail
-    def wrong_norm(j, jp, k):
-        return sqrt_fraction(Fraction(factorial(j.twice) * factorial(jp.twice),
-                                      factorial(k.twice + 1)))
+def _wrong_norm(j, jp, k):
+    # (2k+1)! in place of (2k)! in N(j, j', k)
+    return sqrt_fraction(Fraction(factorial(j.twice) * factorial(jp.twice),
+                                  factorial(k.twice + 1)))
 
-    monkeypatch.setattr(symplecton, "product_norm", wrong_norm)
-    code, out = run(capsys, "verify", "-H", "2", "--max-spin", "1",
-                    "--suite", "product-law", "--format", "json")
-    assert code == 1
-    rows = [row for row in json.loads(out)["rows"] if row["check"] == "calibration_ratio"]
-    assert {row["params"]["k"] for row in rows} == {"0", "1/2", "1", "3/2", "2"}
-    for row in rows:
-        assert row["pass"] == (row["params"]["k"] == "0"), row
+
+def _bracket_without_power_of_two(k, j, jp):
+    # <k|j|j'> without its factor 2^(k-j-j')
+    if not su2data.triangle_ok(k, j, jp):
+        return RadicalSum.zero()
+    return su2data.nabla(k, j, jp) * sqrt_fraction(Fraction(1, k.twice + 1))
+
+
+def _doubled_scalar_part(expand):
+    def doubled(w, member):
+        out = expand(w, member)
+        scalar = (HalfInt(0), HalfInt(0))
+        if scalar in out:
+            out[scalar] = out[scalar] + out[scalar]
+        return out
+    return doubled
+
+
+def _row_label(row):
+    k = row["params"].get("k")
+    return row["check"] if k is None else f"calibration_ratio k={k}"
+
+
+def test_calibration_ratio_fails_off_the_closed_form(capsys, monkeypatch):
+    # each mutant of the product law's constants, with the rows it must fail
+    # and the rows it must leave passing; a label names every row it matches
+    ratios = {f"calibration_ratio k={k}" for k in ("1/2", "1", "3/2", "2")}
+    mutants = [
+        # every triple but the k = 0 ones expects the wrong ratio
+        ("product_norm", _wrong_norm, ratios, {"calibration_ratio k=0"}),
+        # the law's k = 0 coefficient is no longer (2j)!/4^j, while the
+        # pairing, read off the expansions, still is
+        ("bracket_coeff", _bracket_without_power_of_two,
+         {"pairing_normalization"}, {"pairing"}),
+        # the expansions' scalar parts are twice the pairing, while the law's
+        # k = 0 coefficient is still (2j)!/4^j
+        ("decompose_twisted", _doubled_scalar_part(symplecton.decompose_twisted),
+         {"pairing"}, {"pairing_normalization"}),
+    ]
+    for name, mutant, fail, keep in mutants:
+        with monkeypatch.context() as patch:
+            patch.setattr(symplecton, name, mutant)
+            code, out = run(capsys, "verify", "-H", "2", "--max-spin", "1",
+                            "--suite", "product-law", "--format", "json")
+        assert code == 1, name
+        verdicts = {}
+        for row in json.loads(out)["rows"]:
+            verdicts.setdefault(_row_label(row), set()).add(row["pass"])
+        for label in fail | keep:
+            assert verdicts.get(label) == {label in keep}, (name, label, verdicts.get(label))
 
 
 def test_error_inside_suite_is_failed_row(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the spin-labelled polynomial families and their product law."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 from types import CodeType
@@ -187,6 +188,33 @@ def test_product_support(law_to_spin_one):
 def test_twisted_sum_collapse(law_to_spin_one):
     ok, detail = law_to_spin_one[0]["twisted_sum_collapse"]
     assert ok, detail
+
+
+def _named_pair(detail):
+    """The spin pair (j, j') that a detail names, in (j,m;j',m') or (j,j',k)."""
+    label = r"[^,;()]+"
+    found = (re.search(rf"\(({label}),{label};({label}),{label}\)", detail)
+             or re.search(rf"\(({label}),({label}),{label}\)", detail))
+    return found and found.groups()
+
+
+def test_every_layer_names_its_first_failing_spin_pair(monkeypatch):
+    # an h^2 error off the diagonal of every twist entry fails the pairs
+    # (1/2, 1/2) and (1, 1) alike; each failing layer names (1/2, 1/2), the
+    # first of them, and no row drops out of the report
+    def perturbed(j, n, m, mp, order):
+        entry = exp_sigma_entry(j, n, m, mp, order)
+        return entry if n == mp else entry + HSeries.h_power(2, order)
+
+    monkeypatch.setattr(symplecton, "exp_sigma_entry", perturbed)
+    checks, _ = product_law_suite(HalfInt(2), 2)
+    assert list(checks) == ["intermediate_identity", "support", "twisted_sum_collapse",
+                            "ratio_table", "pairing", "pairing_normalization"]
+    failing = {name: detail for name, (ok, detail) in checks.items() if not ok}
+    assert set(failing) == {"intermediate_identity", "twisted_sum_collapse", "ratio_table",
+                            "pairing"}
+    for name, detail in failing.items():
+        assert _named_pair(detail) == ("1/2", "1/2"), (name, detail)
 
 
 def twist_conjugation_check(jp_, order):
