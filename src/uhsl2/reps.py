@@ -272,8 +272,9 @@ def twist_formula_blocks(j2, m1s, order):
             if not qn:
                 continue
             for a in range(n2 - d):
-                rn, rd, r = roots[(a, a + d)]
-                num, den = qn * rn, qd * rd
+                root = roots[(a, a + d)]
+                [((_, r), rn)] = root.num.items()
+                num, den = qn * rn, qd * root.den
                 g = gcd(num, den)
                 out[(a + d, a)] = HSeries._new({(d, r): num // g}, den // g, order)
         blocks[m1] = Matrix.zero(n2, n2, order)._like(out)

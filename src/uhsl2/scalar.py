@@ -46,25 +46,18 @@ def _radical_product(r1, r2):
     return _square_free_split(r1 * r2)
 
 
-def sqrt_ratio(p, q, n=1, d=1):
-    """Canonical (num, den, r) with (n/d)*sqrt(p/q) = (num/den)*sqrt(r), for
-    positive ints p, q, d: r square-free, den > 0 coprime to num.  p/q need
-    not be reduced, since sqrt(p/q) = sqrt(p*q)/q whatever factor they share."""
+def sqrt_ratio(p, q=1, n=1, d=1):
+    """The constant (n/d)*sqrt(p/q) as a canonical RadicalSum, for ints
+    p >= 0 and q, d >= 1.  p/q need not be reduced, since
+    sqrt(p/q) = sqrt(p*q)/q whatever factor they share."""
+    if p < 0:
+        raise ValueError(f"sqrt of negative rational {p}/{q}")
+    if not n or not p:
+        return RadicalSum.zero()
     s, r = _square_free_split(p * q)
     num, den = n * s, d * q
     g = gcd(num, den)
-    return num // g, den // g, r
-
-
-def sqrt_fraction(value):
-    """Exact sqrt of a nonnegative Fraction as a RadicalSum."""
-    value = Fraction(value)
-    if value < 0:
-        raise ValueError(f"sqrt of negative rational {value}")
-    if value == 0:
-        return RadicalSum.zero()
-    num, den, r = sqrt_ratio(value.numerator, value.denominator)
-    return RadicalSum._new({(0, r): num}, den, 0)
+    return RadicalSum._new({(0, r): num // g}, den // g, 0)
 
 
 def _over_lcm(terms):

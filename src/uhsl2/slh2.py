@@ -9,13 +9,12 @@ representation matrices of every integer and half-integer spin.
 """
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import lru_cache
 
 from .reps import universal_r_rep
 from .scalar import (SCALARS, AlgebraMap, HSeries, HalfInt, SeriesCombination,
                      _numerator_product, _over_one_denominator, _series_of_sums,
-                     add_into, combine, sqrt_fraction, weights)
+                     add_into, combine, sqrt_ratio, weights)
 from .su2data import fact
 from .symplecton import osc_symplecton_poly
 
@@ -656,7 +655,7 @@ def covariance_check(order):
 
 def _plane_norm(j, m):
     """Normalization 1/sqrt((j+m)!(j-m)!) of the plane weight basis."""
-    return sqrt_fraction(Fraction(1, fact(j + m) * fact(j - m)))
+    return sqrt_ratio(1, fact(j + m) * fact(j - m))
 
 
 def plane_basis(j, m, order):

@@ -9,25 +9,16 @@ term q*sqrt(r) for every individual coefficient here), computed from the
 standard single-sum closed forms.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
 
-from .scalar import HalfInt, RadicalSum, sqrt_fraction, sqrt_ratio
+from .scalar import HalfInt, RadicalSum, sqrt_ratio
 
 
 def fact(x):
-    """Factorial of a nonnegative integer-valued HalfInt / int / Fraction."""
-    if isinstance(x, int):
-        n = x
-    elif isinstance(x, HalfInt):
-        n = x.as_int()
-    else:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ValueError(f"factorial of non-integer {x}")
-        n = int(f)
+    """Factorial of a nonnegative int or integer-valued HalfInt."""
+    n = x.as_int() if isinstance(x, HalfInt) else x
     if n < 0:
         raise ValueError(f"factorial of negative {n}")
     return factorial(n)
@@ -41,12 +32,6 @@ def _couples(at, bt, ct):
 def triangle_ok(a, b, c):
     """Whether (a, b, c) can couple: |a-b| <= c <= a+b with integer perimeter."""
     return _couples(*(HalfInt.of(x).twice for x in (a, b, c)))
-
-
-def _delta2(a, b, c):
-    """Square of the triangle factor: (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!."""
-    return Fraction(fact(a + b - c) * fact(a - b + c) * fact(-a + b + c),
-                    fact(a + b + c + 1))
 
 
 @lru_cache(maxsize=None)
@@ -70,24 +55,17 @@ def _cgc_cached(j1t, j2t, jt, m1t, m2t):
     for k in range(max(0, j1m - b, j2p - c), min(a, j1m, j2p) + 1):
         term = comb(a, k) * comb(b, j1m - k) * comb(c, j2p - k)
         total += -term if k % 2 else term
-    if not total:
-        return RadicalSum.zero()
     # Racah's prefactor, over the a!b!c! taken out of the sum
-    num, den, r = sqrt_ratio(
+    return sqrt_ratio(
         (jt + 1) * factorial(jp) * factorial(jm) * factorial(j1p) * factorial(j1m)
         * factorial(j2p) * factorial(j2m),
         factorial((j1t + j2t + jt) // 2 + 1) * factorial(a) * factorial(b) * factorial(c),
         total)
-    return RadicalSum._new({(0, r): num}, den, 0)
 
 
-def cgc(j1, j2, j, m1, m2, m=None):
+def cgc(j1, j2, j, m1, m2):
     """Clebsch-Gordan coefficient <j1 m1; j2 m2 | j, m1+m2>, Condon-Shortley."""
-    j1, j2, j = HalfInt.of(j1), HalfInt.of(j2), HalfInt.of(j)
-    m1, m2 = HalfInt.of(m1), HalfInt.of(m2)
-    if m is not None and HalfInt.of(m) != m1 + m2:
-        return RadicalSum.zero()
-    return _cgc_cached(j1.twice, j2.twice, j.twice, m1.twice, m2.twice)
+    return _cgc_cached(*(HalfInt.of(x).twice for x in (j1, j2, j, m1, m2)))
 
 
 def sixj(a, b, c, d, e, f):
@@ -114,11 +92,8 @@ def sixj(a, b, c, d, e, f):
         for high in highs:
             term *= factorial(high - t0) // factorial(high - t)
         total += -term if t % 2 else term
-    if not total:
-        return RadicalSum.zero()
     den = prod(factorial(t1 - low) for low in lows) * prod(factorial(high - t0) for high in highs)
-    num, den, r = sqrt_ratio(pre_num, pre_den, total, den)
-    return RadicalSum._new({(0, r): num}, den, 0)
+    return sqrt_ratio(pre_num, pre_den, total, den)
 
 
 def racah_w(a, b, c, d, e, f):
@@ -134,7 +109,7 @@ def nabla(a, b, c):
     a, b, c = HalfInt.of(a), HalfInt.of(b), HalfInt.of(c)
     if not triangle_ok(a, b, c):
         return RadicalSum.zero()
-    return sqrt_fraction(Fraction(1) / _delta2(a, b, c))
+    return sqrt_ratio(fact(a + b + c + 1), fact(a + b - c) * fact(a - b + c) * fact(-a + b + c))
 
 
 def bracket_coeff(k, j, jp):
@@ -142,15 +117,13 @@ def bracket_coeff(k, j, jp):
     k, j, jp = HalfInt.of(k), HalfInt.of(j), HalfInt.of(jp)
     if not triangle_ok(k, j, jp):
         return RadicalSum.zero()
-    two_pow = Fraction(2) ** (k - j - jp).as_int()
-    return nabla(k, j, jp) * sqrt_fraction(Fraction(1, k.twice + 1)) * two_pow
+    return nabla(k, j, jp) * sqrt_ratio(1, k.twice + 1, 1, 2 ** (j + jp - k).as_int())
 
 
 def product_norm(j, jp, k):
     """Product-law normalization N(j, j', k) = sqrt((2j)! (2j')! / (2k)!)."""
     j, jp, k = HalfInt.of(j), HalfInt.of(jp), HalfInt.of(k)
-    num, den, r = sqrt_ratio(factorial(j.twice) * factorial(jp.twice), factorial(k.twice))
-    return RadicalSum._new({(0, r): num}, den, 0)
+    return sqrt_ratio(factorial(j.twice) * factorial(jp.twice), factorial(k.twice))
 
 
 def verify_racah_identity(a, b, c, e):
@@ -171,7 +144,7 @@ def verify_racah_identity(a, b, c, e):
              for alt, bet, gat in product(*(range(-t, t + 1, 2) for t in (at, bt, ct)))
              if abs(alt + bet + gat) <= et]
     for dt in ds:
-        racah = [sqrt_fraction(Fraction((dt + 1) * (ft + 1)))
+        racah = [sqrt_ratio((dt + 1) * (ft + 1))
                  * racah_w(a, b, e, c, HalfInt(dt), HalfInt(ft)) for ft in fs]
         for (alt, bet, gat), couplings in cross:
             lhs = _cgc_cached(dt, ct, et, alt + bet, gat) * _cgc_cached(at, bt, dt, alt, bet)

@@ -18,7 +18,7 @@ from math import prod
 from operator import mul
 
 from .scalar import (AlgebraMap, HalfInt, HSeries, add_into, combine, half_range,
-                     spin_pairs, spins_up_to, sqrt_fraction, weights)
+                     spin_pairs, spins_up_to, sqrt_ratio, weights)
 from .su2data import bracket_coeff, cgc, fact, product_norm, triangle_ok
 from .reps import adjoint, exp_sigma_entry
 from .weyl import (OscElement, WeylElement, WeylLetters, classical_symplecton, exp_m_sigma,
@@ -108,15 +108,13 @@ def _osc_symplecton_poly(jt, mt, order, form):
         return Ab + A.scale(HSeries.h_power(1, order, k))
 
     if form == "A":
-        pre = sqrt_fraction(Fraction(fact(2 * j) * fact(j - m), fact(j + m))) \
-            * Fraction(1, 2 ** jm)
+        pre = sqrt_ratio(fact(2 * j) * fact(jm), fact(jp), 1, 2 ** jm)
         terms = ((pre / (fact(s) * fact(jm - s)),
                   reduce(mul, [*map(shifted, range(jm - s)), OscElement.monomial(jp, 0, order),
                                *(shifted(-i) for i in range(ms + s, ms, -1))]))
                  for s in range(jm + 1))
     elif form == "B":
-        pre = sqrt_fraction(Fraction(fact(2 * j) * fact(j + m), fact(j - m))) \
-            * Fraction(1, 2 ** jp)
+        pre = sqrt_ratio(fact(2 * j) * fact(jp), fact(jm), 1, 2 ** jp)
         terms = ((pre / (fact(s) * fact(jp - s)),
                   reduce(mul, [OscElement.monomial(s, 0, order), *map(shifted, range(-s, jm - s)),
                                OscElement.monomial(jp - s, 0, order)]))
@@ -400,7 +398,7 @@ def examples_check(order):
     t1, t0, tm = (osc_symplecton_poly(1, m, order) for m in (1, 0, -1))
     h1 = HSeries.h_power(1, order)
     one = OscElement.one(order)
-    r8 = HSeries.constant(sqrt_fraction(Fraction(8)), order)
+    r8 = HSeries.constant(sqrt_ratio(8), order)
     dress = one - t1.scale(h1)
     osc = to_oscillator(order)
     letters = WeylLetters(order)
@@ -416,7 +414,7 @@ def examples_check(order):
         "weight_one_commutators": (
             closes, "weight-one commutators close" if closes else "weight-one commutators fail"),
         "reconstruction_j0": (
-            osc(letters.j0) == t0.scale(sqrt_fraction(Fraction(1, 2))), ""),
+            osc(letters.j0) == t0.scale(sqrt_ratio(1, 2)), ""),
         "reconstruction_jminus": (
             osc(letters.jm) == (tm * dress).scale(Fraction(1, 2)), ""),
         "reconstruction_jplus_inverse_dressing": (

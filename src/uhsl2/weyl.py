@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .scalar import (SCALARS, AlgebraMap, HalfInt, HSeries, SeriesCombination,
-                     as_series, combine, normal_product, sqrt_fraction)
+                     as_series, combine, normal_product, sqrt_ratio)
 from .su2data import fact
 
 
@@ -216,12 +216,12 @@ def _classical_symplecton(jt, mt, order, form):
         raise ValueError(f"|m| > j: j={j}, m={m}")
     mono = WeylElement.monomial
     if form == "A":
-        pre = sqrt_fraction(Fraction(fact(2 * j) * fact(jm), fact(jp))) / (2 ** jm)
+        pre = sqrt_ratio(fact(2 * j) * fact(jm), fact(jp), 1, 2 ** jm)
         terms = ((pre / (fact(s) * fact(jm - s)),
                   mono(0, jm - s, order) * mono(jp, 0, order) * mono(0, s, order))
                  for s in range(jm + 1))
     elif form == "B":
-        pre = sqrt_fraction(Fraction(fact(2 * j) * fact(jp), fact(jm))) / (2 ** jp)
+        pre = sqrt_ratio(fact(2 * j) * fact(jp), fact(jm), 1, 2 ** jp)
         terms = ((pre / (fact(s) * fact(jp - s)),
                   mono(s, 0, order) * mono(0, jm, order) * mono(jp - s, 0, order))
                  for s in range(jp + 1))
@@ -233,7 +233,7 @@ def _classical_symplecton(jt, mt, order, form):
 def symplecton_pivot(j, m):
     """Coefficient of the top monomial a^(j+m) abar^(j-m), a single radical."""
     j, m = HalfInt.of(j), HalfInt.of(m)
-    return sqrt_fraction(Fraction(fact(2 * j), fact(j + m) * fact(j - m)))
+    return sqrt_ratio(fact(2 * j), fact(j + m) * fact(j - m))
 
 
 def h_symplecton(j, m, order):
@@ -255,4 +255,4 @@ def ladder_coeff(j, m, direction):
         n = (j + m).as_int() * (j - m + 1).as_int()
     else:
         raise ValueError(f"direction must be +1 or -1, got {direction}")
-    return sqrt_fraction(Fraction(n))
+    return sqrt_ratio(n)

@@ -10,7 +10,7 @@ from math import factorial
 import random
 
 from uhsl2.scalar import (HSeries, RadicalSum, HalfInt, half_range, weights,
-                          spins_up_to, sqrt_fraction)
+                          spins_up_to, sqrt_ratio)
 from uhsl2.su2data import verify_racah_identity
 from uhsl2.weyl import (WeylElement, OscElement, classical_symplecton,
                         h_symplecton, to_oscillator, exp_m_sigma)
@@ -97,8 +97,8 @@ def test_07_classical_family_closed_forms():
     assert classical_symplecton(HALF, HALF, 0) == WeylElement.monomial(1, 0, 0)
     assert classical_symplecton(HALF, -HALF, 0) == WeylElement.monomial(0, 1, 0)
     assert classical_symplecton(1, 1, 0) == WeylElement.monomial(2, 0, 0)
-    p10 = WeylElement({(1, 1): HSeries.constant(sqrt_fraction(2), 0),
-                       (0, 0): HSeries.constant(sqrt_fraction(Fraction(1, 2)), 0)}, 0)
+    p10 = WeylElement({(1, 1): HSeries.constant(sqrt_ratio(2), 0),
+                       (0, 0): HSeries.constant(sqrt_ratio(1, 2), 0)}, 0)
     assert classical_symplecton(1, 0, 0) == p10
 
 
@@ -134,7 +134,7 @@ def test_09_explicit_low_spin_examples():
     assert osc(h_symplecton(1, -1, ORDER)) \
         == big_ab * big_ab + (big_ab * big_a).scale(h1)
     mid = (big_ab * big_a + big_a * big_ab - (big_a * big_a).scale(h1)) \
-        .scale(sqrt_fraction(Fraction(1, 2)))
+        .scale(sqrt_ratio(1, 2))
     assert osc(h_symplecton(1, 0, ORDER)) == mid
     assert osc(h_symplecton(1, 1, ORDER)) == big_a * big_a
 
@@ -167,13 +167,13 @@ def test_10_product_expansion_structure():
                    for k in half_range(HalfInt(abs(j.twice - jp_.twice)), j + jp_)]
         assert len(triples) == ntriples and set(table) == set(triples)
         for j, jp_, k in triples:
-            n = sqrt_fraction(Fraction(factorial(j.twice) * factorial(jp_.twice),
-                                       factorial(k.twice)))
+            n = sqrt_ratio(factorial(j.twice) * factorial(jp_.twice),
+                           factorial(k.twice))
             assert table[(j, jp_, k)] == (True, f"ratio = {n}"), \
                 f"triple ({j},{jp_},{k}): {table[(j, jp_, k)]}"
     one = RadicalSum({1: Fraction(1)})
     assert table[(HALF, HALF, HalfInt(0))] == (True, f"ratio = {one}")
-    assert table[(HALF, HALF, HalfInt(2))] == (True, f"ratio = {sqrt_fraction(Fraction(1, 2))}")
+    assert table[(HALF, HALF, HalfInt(2))] == (True, f"ratio = {sqrt_ratio(1, 2)}")
 
 
 def test_11_generating_functions():
@@ -200,7 +200,7 @@ def test_13_representation_matrix_elements():
 
     x, y, v, u = (pres.gen(g) for g in GROUP_GENS)
     h1 = HSeries.h_power(1, ORDER)
-    rt2 = HSeries.constant(sqrt_fraction(Fraction(2)), ORDER)
+    rt2 = HSeries.constant(sqrt_ratio(2), ORDER)
     two = HSeries.constant(Fraction(2), ORDER)
     expected = {
         (1, 1): x * x + (x * v).scale(h1),

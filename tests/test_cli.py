@@ -4,14 +4,13 @@ import hashlib
 import json
 import pathlib
 import shlex
-from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from uhsl2 import cli, reps, slh2, su2data, symplecton
 from uhsl2.cli import RunConfig, main, suite_product_law
-from uhsl2.scalar import HalfInt, HSeries, RadicalSum, spins_up_to, sqrt_fraction, weights
+from uhsl2.scalar import HalfInt, HSeries, RadicalSum, spins_up_to, sqrt_ratio, weights
 
 
 def run(capsys, *argv):
@@ -54,6 +53,12 @@ LARGER_COMPUTE = {
     # evaluated over one integer denominator, as is the report below
     "compute fmatrix-inverse --j1 2 --j2 3/2 -H 16 --format json":
         "473e86805d00980e35d2ab09b5fa8158e4160d6d4d685b13da12b0bb2a80285d",
+    # a Clebsch-Gordan coefficient -sqrt(105)/21 and a Racah W -sqrt(165)/210,
+    # each one exact square root of a ratio of factorials
+    "compute cgc --j1 5/2 --j2 2 --j 3/2 --m1 1/2 --m2=-1 --format json":
+        "e8628392f726e9347042b1a8f1dabdb9be6dbc2b5478b40fb9c929bfe1f7c834",
+    "compute racah --a 2 --b 2 --c 7/2 --d 7/2 --e 3 --f 5/2 --format json":
+        "2f7ffe754a4146f3edb25ed966a08fa78cb0a5f382fc517222ca67a2aa6ca4e2",
 }
 # the twist, hopf, coupled-basis, ohn and properties suites at order 16 up to
 # spin 4, which is the benchmark's reps-tower workload
@@ -186,15 +191,15 @@ def test_product_law_expands_each_product_once(monkeypatch):
 
 def _wrong_norm(j, jp, k):
     # (2k+1)! in place of (2k)! in N(j, j', k)
-    return sqrt_fraction(Fraction(factorial(j.twice) * factorial(jp.twice),
-                                  factorial(k.twice + 1)))
+    return sqrt_ratio(factorial(j.twice) * factorial(jp.twice),
+                      factorial(k.twice + 1))
 
 
 def _bracket_without_power_of_two(k, j, jp):
     # <k|j|j'> without its factor 2^(k-j-j')
     if not su2data.triangle_ok(k, j, jp):
         return RadicalSum.zero()
-    return su2data.nabla(k, j, jp) * sqrt_fraction(Fraction(1, k.twice + 1))
+    return su2data.nabla(k, j, jp) * sqrt_ratio(1, k.twice + 1)
 
 
 def _doubled_scalar_part(expand):

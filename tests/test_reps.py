@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from uhsl2 import reps
-from uhsl2.scalar import HalfInt, HSeries, sqrt_fraction, weights
+from uhsl2.scalar import HalfInt, HSeries, sqrt_ratio, weights
 from uhsl2.symplecton import tensor_operator_check
 from uhsl2.reps import (Matrix, anti_transpose, cocycle_check, coupled_basis_suite,
                         exp_sigma_entry, flip_tensor, ohn_suite, qybe_check,
@@ -322,7 +322,7 @@ def _random_series(rng, order):
     for _ in range(rng.randint(1, 3)):
         q = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 5, 6)))
         out = out + HSeries.h_power(rng.randint(0, order), order,
-                                    q * sqrt_fraction(rng.choice((1, 2, 3, 5, 6))))
+                                    q * sqrt_ratio(rng.choice((1, 2, 3, 5, 6))))
     return out
 
 
@@ -357,16 +357,16 @@ def test_matrix_product_drops_cancelled_and_truncated_entries():
     y = Matrix(2, 2, order, {(0, 0): v, (1, 0): -v, (0, 1): w, (1, 1): -w})
     assert (x * y).terms == {}
     # h^3 * h^2 lies above h^4, so the product is cut to zero
-    h3 = Matrix(2, 2, order, {(1, 0): HSeries.h_power(3, order, sqrt_fraction(2))})
+    h3 = Matrix(2, 2, order, {(1, 0): HSeries.h_power(3, order, sqrt_ratio(2))})
     h2 = Matrix(2, 2, order, {(0, 1): HSeries.h_power(2, order, Fraction(1, 3))})
     assert (h3 * h2).is_zero()
     # one entry cancels, the other keeps only the terms below the cut
-    a = HSeries.h_power(1, order, sqrt_fraction(3)) + HSeries.h_power(3, order, Fraction(1, 2))
+    a = HSeries.h_power(1, order, sqrt_ratio(3)) + HSeries.h_power(3, order, Fraction(1, 2))
     x = Matrix(2, 2, order, {(0, 0): a, (0, 1): a, (1, 0): a})
     y = Matrix(2, 1, order, {(0, 0): a, (1, 0): -a})
     assert (x * y).terms == _oracle_product(x, y) == {(1, 0): _series_product(a, a)}
     assert _series_product(a, a) == HSeries.h_power(2, order, 3) + HSeries.h_power(
-        4, order, sqrt_fraction(3))
+        4, order, sqrt_ratio(3))
 
 
 def test_twist_inverse_is_the_label_reversed_twist():

@@ -2,45 +2,76 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from uhsl2.scalar import (HalfInt, HSeries, RadicalSum, half_range,
-                          spins_up_to, sqrt_fraction, weights)
+                          spins_up_to, sqrt_ratio, weights)
 from radical_oracle import coeff_terms, rad, rad_add, rad_mul, rad_str, ref_mul, series
 
 
 def test_radical_normalize_examples():
-    assert sqrt_fraction(8) == RadicalSum({2: 2})
-    assert sqrt_fraction(1) == RadicalSum({1: 1})
-    assert sqrt_fraction(12) == RadicalSum({3: 2})
-    assert sqrt_fraction(49) == RadicalSum({1: 7})
-    assert sqrt_fraction(2) * Fraction(1, 2) == RadicalSum({2: Fraction(1, 2)})
+    assert sqrt_ratio(8) == RadicalSum({2: 2})
+    assert sqrt_ratio(1) == RadicalSum({1: 1})
+    assert sqrt_ratio(12) == RadicalSum({3: 2})
+    assert sqrt_ratio(49) == RadicalSum({1: 7})
+    assert sqrt_ratio(2) * Fraction(1, 2) == RadicalSum({2: Fraction(1, 2)})
 
 
 def test_radical_normalize_squares_back():
     # q*sqrt(r) squared must reproduce n*q^2 for every n up to 1000
     for n in range(1, 1001):
-        s = sqrt_fraction(n)
+        s = sqrt_ratio(n)
         assert s * s == RadicalSum({1: n}), f"sqrt({n}) normalized wrong"
 
 
 def test_radical_products():
-    r2, r3 = sqrt_fraction(2), sqrt_fraction(3)
-    assert r2 * r3 == sqrt_fraction(6)
+    r2, r3 = sqrt_ratio(2), sqrt_ratio(3)
+    assert r2 * r3 == sqrt_ratio(6)
     assert r2 * r2 == RadicalSum({1: 2})
     assert (1 + r2) * (1 - r2) == RadicalSum({1: -1})
-    r6 = sqrt_fraction(6)
+    r6 = sqrt_ratio(6)
     assert r2 * r6 == RadicalSum({3: 2})  # sqrt(2)*sqrt(6) = 2*sqrt(3)
 
 
 def test_radical_inversion():
-    x = sqrt_fraction(2) * Fraction(3, 4)
+    x = sqrt_ratio(2) * Fraction(3, 4)
     assert x * x.invert() == RadicalSum.one()
     with pytest.raises(ValueError):
-        (1 + sqrt_fraction(2)).invert()
-    assert sqrt_fraction(Fraction(1, 2)) * sqrt_fraction(Fraction(1, 2)) == RadicalSum({1: Fraction(1, 2)})
+        (1 + sqrt_ratio(2)).invert()
+    assert sqrt_ratio(1, 2) * sqrt_ratio(1, 2) == RadicalSum({1: Fraction(1, 2)})
+
+
+def test_sqrt_ratio_is_one_canonical_root_hypothesis():
+    # (n/d)*sqrt(p/q) is the single term (num/den)*sqrt(r): r square-free,
+    # num/den reduced, the sign that of n, and the same for any p/q of one value
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 10**4), st.integers(1, 10**3),
+                      st.integers(-60, 60).filter(bool), st.integers(1, 200))
+    def canonical(p, q, n, d):
+        s = sqrt_ratio(p, q, n, d)
+        assert s * s == RadicalSum({1: Fraction(n * n * p, d * d * q)})
+        [((k, r), num)] = s.num.items()
+        assert k == 0 and s.order == 0
+        assert all(r % (f * f) for f in range(2, isqrt(r) + 1))
+        assert s.den > 0 and gcd(num, s.den) == 1
+        assert (num > 0) == (n > 0)
+        reduced = Fraction(p, q)
+        assert s == sqrt_ratio(reduced.numerator, reduced.denominator, n, d)
+
+    canonical()
+
+
+def test_sqrt_ratio_zero_and_negative():
+    for p, q, n, d in ((0, 1, 1, 1), (0, 7, -3, 2), (5, 3, 0, 4), (0, 2, 0, 1)):
+        assert sqrt_ratio(p, q, n, d) == RadicalSum.zero()
+    for p in (-1, -8):
+        with pytest.raises(ValueError):
+            sqrt_ratio(p, 3)
 
 
 def test_radical_ring_properties():
@@ -95,8 +126,8 @@ def test_series_order_mismatch_is_an_error():
 
 
 def test_constants_lift_to_the_series_they_meet():
-    s = HSeries.one(8) + HSeries.h_power(3, 8, sqrt_fraction(3))
-    c = sqrt_fraction(2) + Fraction(1, 3)
+    s = HSeries.one(8) + HSeries.h_power(3, 8, sqrt_ratio(3))
+    c = sqrt_ratio(2) + Fraction(1, 3)
     lifted = HSeries.constant(c, 8)
     for got, want in ((s + c, s + lifted), (c + s, lifted + s), (s - c, s - lifted),
                       (c - s, lifted - s), (s * c, s * lifted), (c * s, lifted * s),
@@ -109,7 +140,7 @@ def test_constants_lift_to_the_series_they_meet():
     for got, want in ((c * c, cc), (c + c, 2 * c), (c - c, 0), (c + 1, 1 + c),
                       (1 - c, -(c - 1)), (c * Fraction(3, 2), Fraction(3, 2) * c),
                       (c.scale(c), cc), (c / 2, c * Fraction(1, 2)),
-                      (sqrt_fraction(6) / sqrt_fraction(2), sqrt_fraction(3)),
+                      (sqrt_ratio(6) / sqrt_ratio(2), sqrt_ratio(3)),
                       (RadicalSum.zero() + 1, RadicalSum.one())):
         assert type(got) is RadicalSum and got == want
     assert str(c * c) == "19/9 + 2/3*sqrt(2)" and (c * c).to_json() == [[19, 9, 1], [2, 3, 2]]
@@ -130,7 +161,7 @@ def test_series_invert_unit():
     s = HSeries.one(H) - HSeries.h_power(1, H, 2)  # 1 - 2h
     inv = s.invert_unit()
     assert s * inv == HSeries.one(H)
-    t = HSeries.constant(sqrt_fraction(2), H) + HSeries.h_power(1, H)
+    t = HSeries.constant(sqrt_ratio(2), H) + HSeries.h_power(1, H)
     assert t * t.invert_unit() == HSeries.one(H)
 
 
@@ -154,7 +185,7 @@ def test_series_ring_properties():
 
 
 def test_series_str():
-    s = HSeries.one(2) - HSeries.h_power(2, 2, sqrt_fraction(2))
+    s = HSeries.one(2) - HSeries.h_power(2, 2, sqrt_ratio(2))
     assert str(s) == "1 - sqrt(2)*h^2 (mod h^3)"
 
 
@@ -298,8 +329,8 @@ def test_series_unit_products():
 
 
 def test_series_coefficient_reads():
-    s = HSeries.constant(sqrt_fraction(2), 3) + HSeries.h_power(2, 3, Fraction(1, 3))
-    assert s.coeff(0) == sqrt_fraction(2) and s.coeff(1).is_zero()
+    s = HSeries.constant(sqrt_ratio(2), 3) + HSeries.h_power(2, 3, Fraction(1, 3))
+    assert s.coeff(0) == sqrt_ratio(2) and s.coeff(1).is_zero()
     assert s.coeff(2) == RadicalSum({1: Fraction(1, 3)})
     assert not s.is_constant() and s.truncate(1).is_constant()
     assert HSeries.zero(3).is_constant()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from uhsl2.reps import Matrix
-from uhsl2.scalar import HSeries, RadicalSum, combine, sqrt_fraction
+from uhsl2.scalar import HSeries, RadicalSum, combine, sqrt_ratio
 from uhsl2.slh2 import osc_algebra, plane_algebra
 from uhsl2.weyl import OscElement, WeylElement
 
@@ -51,7 +51,7 @@ def test_shared_laws(kind):
     assert x + 3 - 3 == x and 3 + x == x + 3 and 3 - x == -(x - 3)
     assert x.scale(2) == x + x == 2 * x == x * 2
     assert x.scale(h) == h * x == x * h
-    r2 = sqrt_fraction(2)  # a constant lifts to the element's order
+    r2 = sqrt_ratio(2)  # a constant lifts to the element's order
     assert x.scale(r2) == r2 * x == x * r2 == x.scale(HSeries.constant(r2, H))
     assert x ** 0 == 1 and x ** 0 == x.constant(1) and x ** 1 == x
     assert x ** 2 == x * x
@@ -94,9 +94,9 @@ def test_combine_is_the_weighted_sum(kind):
     cases = {
         "ints": [(3, x), (-2, y)],
         "fractions": [(Fraction(2, 3), x), (Fraction(-5, 7), y), (Fraction(1, 6), x * y)],
-        "radicals": [(sqrt_fraction(2), x), (RadicalSum({3: Fraction(1, 5), 1: 2}), y)],
+        "radicals": [(sqrt_ratio(2), x), (RadicalSum({3: Fraction(1, 5), 1: 2}), y)],
         "series": [(h(1, Fraction(1, 6)) + h(2, Fraction(3, 10)), x),
-                   (h(0, Fraction(2, 9)) - h(3, sqrt_fraction(Fraction(1, 8))), y)],
+                   (h(0, Fraction(2, 9)) - h(3, sqrt_ratio(1, 8)), y)],
         "zero coefficients": [(0, x), (Fraction(0), y), (HSeries.zero(order), x * y)],
         "cancelling": [(2, x), (-1, x), (-1, x), (Fraction(1, 2), y), (h(1), zero)],
         "truncated": [(h(5), x.scale(h(5))), (h(5, 3), y.scale(h(5)))],

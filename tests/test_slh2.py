@@ -8,7 +8,7 @@ import random
 
 from uhsl2 import slh2
 from uhsl2.cli import main
-from uhsl2.scalar import AlgebraMap, HSeries, sqrt_fraction, weights
+from uhsl2.scalar import AlgebraMap, HSeries, sqrt_ratio, weights
 from uhsl2.reps import HalfInt, Matrix, universal_r_rep
 from uhsl2.symplecton import osc_symplecton_poly
 from uhsl2.weyl import OscElement
@@ -152,7 +152,7 @@ def test_plane_basis_forms_and_pivot():
             assert not e.is_zero(), f"plane basis vanished at ({j},{HalfInt(mtw)})"
         top = plane_basis(j, j, ORDER)
         word = (1,) * twice
-        want = HSeries.constant(sqrt_fraction(Fraction(1, fact_2j)), ORDER)
+        want = HSeries.constant(sqrt_ratio(1, fact_2j), ORDER)
         assert top.terms.get(word) == want, f"leading coefficient wrong at j={j}"
         assert len(top.terms) == 1, f"highest weight element not a monomial at j={j}"
 
@@ -198,7 +198,7 @@ def test_dfunction_spin_one_entries():
     pres = group_algebra(ORDER, True)
     x, y, v, u = (pres.gen(g) for g in GROUP_GENS)
     h1 = HSeries.h_power(1, ORDER)
-    rt2 = HSeries.constant(sqrt_fraction(Fraction(2)), ORDER)
+    rt2 = HSeries.constant(sqrt_ratio(2), ORDER)
     two = HSeries.constant(Fraction(2), ORDER)
     expected = {
         (1, 1): x * x + (x * v).scale(h1),

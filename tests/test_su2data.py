@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from uhsl2.scalar import HalfInt, RadicalSum, half_range, spins_up_to, sqrt_fraction, weights
+from uhsl2.scalar import HalfInt, RadicalSum, half_range, spins_up_to, sqrt_ratio, weights
 from uhsl2.su2data import (bracket_coeff, cgc, fact, nabla, racah_w, sixj,
                            triangle_ok, verify_racah_identity)
 
@@ -19,13 +19,12 @@ def spins_from_zero(max_j):
 
 
 def test_cgc_known_values():
-    assert cgc(H12, H12, 1, H12, -H12) == sqrt_fraction(Fraction(1, 2))
-    assert cgc(H12, H12, 0, -H12, H12) == -sqrt_fraction(Fraction(1, 2))
+    assert cgc(H12, H12, 1, H12, -H12) == sqrt_ratio(1, 2)
+    assert cgc(H12, H12, 0, -H12, H12) == -sqrt_ratio(1, 2)
     assert cgc(H12, H12, 1, H12, H12) == RadicalSum.one()
-    assert cgc(1, 1, 0, 1, -1) == sqrt_fraction(Fraction(1, 3))
-    assert cgc(1, 1, 2, 0, 0) == sqrt_fraction(Fraction(2, 3))
-    # wrong total weight or broken triangle vanish
-    assert cgc(H12, H12, 1, H12, -H12, 1).is_zero()
+    assert cgc(1, 1, 0, 1, -1) == sqrt_ratio(1, 3)
+    assert cgc(1, 1, 2, 0, 0) == sqrt_ratio(2, 3)
+    # a broken triangle vanishes
     assert cgc(H12, H12, HalfInt(5), H12, H12).is_zero()
 
 
@@ -45,7 +44,7 @@ def test_cgc_pairing_with_spin_zero():
     for j in spins_up_to(2):
         for m in weights(j):
             sign = -1 if (j - m).as_int() % 2 else 1
-            expect = sqrt_fraction(Fraction(1, j.twice + 1)) * sign
+            expect = sqrt_ratio(1, j.twice + 1) * sign
             assert cgc(j, j, 0, m, -m) == expect
 
 
@@ -175,9 +174,9 @@ def test_racah_recoupling_identity():
 
 
 def test_nabla_values():
-    assert nabla(1, H12, H12) == sqrt_fraction(6)
+    assert nabla(1, H12, H12) == sqrt_ratio(6)
     for j in spins_from_zero(Fraction(5, 2)):
-        assert nabla(0, j, j) == sqrt_fraction(j.twice + 1)
+        assert nabla(0, j, j) == sqrt_ratio(j.twice + 1)
     assert nabla(1, H12, HalfInt(5)).is_zero()
 
 
@@ -203,10 +202,10 @@ def test_nabla_contraction_with_racah():
 
 
 def test_bracket_coeff_values():
-    assert bracket_coeff(0, H12, H12) == sqrt_fraction(Fraction(1, 2))
-    assert bracket_coeff(1, H12, H12) == sqrt_fraction(2)
+    assert bracket_coeff(0, H12, H12) == sqrt_ratio(1, 2)
+    assert bracket_coeff(1, H12, H12) == sqrt_ratio(2)
     for j in spins_up_to(2):
-        expect = sqrt_fraction(Fraction(j.twice + 1, 4 ** j.twice))
+        expect = sqrt_ratio(j.twice + 1, 4 ** j.twice)
         assert bracket_coeff(0, j, j) == expect
     assert bracket_coeff(H12, H12, H12).is_zero()
 
@@ -214,8 +213,8 @@ def test_bracket_coeff_values():
 def test_fact_and_triangle():
     assert fact(HalfInt(6)) == 6
     assert fact(0) == 1
-    assert fact(5) == 120 and fact(Fraction(8, 2)) == 24
-    for bad in (-1, HalfInt(1), HalfInt(-2), Fraction(1, 2), Fraction(-3)):
+    assert fact(5) == 120
+    for bad in (-1, HalfInt(1), HalfInt(-2)):
         with pytest.raises(ValueError):
             fact(bad)
     assert triangle_ok(H12, H12, 1)

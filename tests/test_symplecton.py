@@ -11,7 +11,7 @@ import pytest
 from uhsl2 import symplecton
 from uhsl2.reps import adjoint, exp_sigma_entry
 from uhsl2.scalar import (AlgebraMap, HSeries, HalfInt, RadicalSum, half_range,
-                          spins_up_to, sqrt_fraction, weights)
+                          spins_up_to, sqrt_ratio, weights)
 from uhsl2.su2data import product_norm
 from uhsl2.symplecton import (_twist_conjugation, decompose_twisted, examples_check,
                               generating_function_check, h_symplecton_forms_check,
@@ -256,7 +256,7 @@ def test_ratio_table_values(law_to_spin_one):
     one = HalfInt(2)
     assert product_norm(half, half, HalfInt(0)) == RadicalSum.one(), \
         "spin (1/2,1/2)->0 calibration should be 1"
-    assert product_norm(half, half, one) == sqrt_fraction(Fraction(1, 2)), \
+    assert product_norm(half, half, one) == sqrt_ratio(1, 2), \
         "spin (1/2,1/2)->1 calibration should be 1/sqrt(2)"
     for j in (half, one):
         for jp in (half, one):
@@ -317,7 +317,7 @@ def test_product_oracle_classical_limit():
                                h_symplecton)
     c_one = decomp[(HalfInt(2), HalfInt(0))]
     c_zero = decomp[(HalfInt(0), HalfInt(0))]
-    assert c_one == HSeries.constant(sqrt_fraction(Fraction(1, 2)), 3), \
+    assert c_one == HSeries.constant(sqrt_ratio(1, 2), 3), \
         "spin-1 part wrong"
     assert c_zero == HSeries.constant(Fraction(-1, 2), 3), \
         "scalar part should stay -1/2"

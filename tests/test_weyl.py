@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from uhsl2.scalar import AlgebraMap, HalfInt, HSeries, RadicalSum, sqrt_fraction, weights
+from uhsl2.scalar import AlgebraMap, HalfInt, HSeries, RadicalSum, sqrt_ratio, weights
 from uhsl2.su2data import fact
 from uhsl2.reps import adjoint
 from uhsl2.symplecton import decompose_twisted, tensor_operator_check
@@ -160,11 +160,11 @@ def test_classical_symplecton_small():
     assert classical_symplecton(half, half, H) == WeylElement.monomial(1, 0, H)
     assert classical_symplecton(half, -half, H) == WeylElement.monomial(0, 1, H)
     assert classical_symplecton(1, 1, H) == WeylElement.monomial(2, 0, H)
-    r2inv = sqrt_fraction(Fraction(1, 2))
-    p10 = WeylElement({(1, 1): HSeries.constant(sqrt_fraction(2), H),
+    r2inv = sqrt_ratio(1, 2)
+    p10 = WeylElement({(1, 1): HSeries.constant(sqrt_ratio(2), H),
                        (0, 0): HSeries.constant(r2inv, H)}, H)
     assert classical_symplecton(1, 0, H) == p10
-    r6 = sqrt_fraction(6)
+    r6 = sqrt_ratio(6)
     p20 = WeylElement({(2, 2): HSeries.constant(r6, H),
                        (1, 1): HSeries.constant(r6 * 2, H),
                        (0, 0): HSeries.constant(r6 * Fraction(1, 2), H)}, H)
@@ -199,7 +199,7 @@ def test_classical_ladder_action():
 
 
 def test_symplecton_pivot():
-    assert symplecton_pivot(1, 0) == sqrt_fraction(2)
+    assert symplecton_pivot(1, 0) == sqrt_ratio(2)
     assert symplecton_pivot(2, 2) == RadicalSum.one()
     half = HalfInt(1)
     assert symplecton_pivot(half, half) == RadicalSum.one()
@@ -236,9 +236,9 @@ def test_h_symplecton_oscillator_images():
     A, Ab = OscElement.monomial(1, 0, H), OscElement.monomial(0, 1, H)
     assert to_oscillator(H)(h_symplecton(1, 1, H)) == A * A
     assert to_oscillator(H)(h_symplecton(1, -1, H)) == Ab * Ab + (Ab * A).scale(h)
-    r2 = sqrt_fraction(2)
+    r2 = sqrt_ratio(2)
     expect = OscElement({(1, 1): HSeries.constant(r2, H),
-                         (0, 0): HSeries.constant(sqrt_fraction(Fraction(1, 2)), H),
+                         (0, 0): HSeries.constant(sqrt_ratio(1, 2), H),
                          (2, 0): HSeries.constant(-r2, H) * h}, H)
     assert to_oscillator(H)(h_symplecton(1, 0, H)) == expect
 
