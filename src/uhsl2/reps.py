@@ -18,7 +18,7 @@ from operator import mul
 from .scalar import (SCALARS, HalfInt, HSeries, SeriesCombination, _numerator_product,
                      _over_one_denominator, _series_of_sums, add_into, combine, half_range,
                      sqrt_ratio, weights)
-from .su2data import cgc
+from .su2data import _cgc_cached
 from .weyl import ladder_coeff
 
 
@@ -304,7 +304,7 @@ def anti_transpose(mat):
 
 def universal_r_rep(j1, j2, order):
     """R = F21 F^(-1) on the spin-(j1, j2) module; F21 is F of (j2, j1), legs swapped."""
-    n1, n2 = _dim(HalfInt.of(j1)), _dim(HalfInt.of(j2))
+    n1, n2 = _dim(j1), _dim(j2)
     f21 = flip_tensor(twist_matrix_oracle(j2, j1, order), n2, n1)
     return f21 * twist_inverse(j1, j2, order)
 
@@ -321,7 +321,7 @@ def flip_tensor(mat, n1, n2):
 
 def r_triangularity_check(j1, j2, order):
     """R21 R = 1, the triangularity of the universal R-matrix."""
-    n1, n2 = _dim(HalfInt.of(j1)), _dim(HalfInt.of(j2))
+    n1, n2 = _dim(j1), _dim(j2)
     r = {pair: universal_r_rep(*pair, order) for pair in {(j1, j2), (j2, j1)}}
     r21 = flip_tensor(r[(j2, j1)], n2, n1)
     return r21 * r[(j1, j2)] == Matrix.identity(n1 * n2, order)
@@ -340,7 +340,7 @@ def _embed_13(mat, n1, n2, n3, order):
 
 def qybe_check(j1, j2, j3, order):
     """Quantum Yang-Baxter equation R12 R13 R23 = R23 R13 R12."""
-    n1, n2, n3 = (_dim(HalfInt.of(x)) for x in (j1, j2, j3))
+    n1, n2, n3 = (_dim(x) for x in (j1, j2, j3))
     i1 = Matrix.identity(n1, order)
     i3 = Matrix.identity(n3, order)
     r = {pair: universal_r_rep(*pair, order) for pair in {(j1, j2), (j2, j3), (j1, j3)}}
@@ -426,12 +426,9 @@ def adjoint(rep, gen):
                              rep.one)
 
 
-def _counit_word(atoms, order):
-    """Counit of a product of atoms: zero if any J appears, else one."""
-    for atom in atoms:
-        if atom in ("J0", "Jp", "Jm"):
-            return HSeries.zero(order)
-    return HSeries.one(order)
+def _grouplike(atoms):
+    """Whether every atom is an exp(alpha*s), of counit one; each J has counit zero."""
+    return all(not isinstance(atom, str) for atom in atoms)
 
 
 def coproduct_matrix(r1, r2, gen, word=_word):
@@ -495,10 +492,8 @@ def twisted_hopf_suite(j1, j2, j3, order):
         for gen in ("J0", "Jp", "Jm"):
             # (counit (x) id) and (id (x) counit) applied to the coproduct
             terms = [(HSeries.h_power(hpow, order, q), lw, rw) for hpow, q, lw, rw in _DELTA[gen]]
-            lsum = combine(((c * _counit_word(lw, order), word(rep, rw)) for c, lw, rw in terms),
-                           rep.one)
-            rsum = combine(((c * _counit_word(rw, order), word(rep, lw)) for c, lw, rw in terms),
-                           rep.one)
+            lsum = combine(((c, word(rep, rw)) for c, lw, rw in terms if _grouplike(lw)), rep.one)
+            rsum = combine(((c, word(rep, lw)) for c, lw, rw in terms if _grouplike(rw)), rep.one)
             ssum = combine(((c, antipode_word(rep, lw) * word(rep, rw)) for c, lw, rw in terms),
                            rep.one)
             tsum = combine(((c, word(rep, lw) * antipode_word(rep, rw)) for c, lw, rw in terms),
@@ -577,28 +572,18 @@ def cocycle_check(j1, j2, j3, order):
 
 def cg_matrix(j1, j2, order):
     """Columns are classical coupled states, ordered by (j, m) ascending."""
-    j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
-    n1, n2 = _dim(j1), _dim(j2)
-    cols = coupled_labels(j1, j2)
+    at, bt = HalfInt.of(j1).twice, HalfInt.of(j2).twice
+    cols = ((jt, mt) for jt in range(abs(at - bt), at + bt + 1, 2)
+            for mt in range(-jt, jt + 1, 2))
     out = {}
-    for col, (j, m) in enumerate(cols):
-        for m1 in weights(j1):
-            m2 = m - m1
-            if abs(m2.twice) > j2.twice:
-                continue
-            c = cgc(j1, j2, j, m1, m2)
-            if not c.is_zero():
-                out[(widx(j1, m1) * n2 + widx(j2, m2), col)] = HSeries.constant(c, order)
-    return Matrix.zero(n1 * n2, n1 * n2, order)._like(out)
-
-
-def coupled_labels(j1, j2):
-    """(j, m) pairs labelling the coupled basis, spins then weights ascending."""
-    j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
-    out = []
-    for j in half_range(HalfInt(abs(j1.twice - j2.twice)), j1 + j2):
-        out.extend((j, m) for m in weights(j))
-    return out
+    for col, (jt, mt) in enumerate(cols):
+        for m1t in range(max(-at, mt - bt), min(at, mt + bt) + 1, 2):
+            if not (c := _cgc_cached(at, bt, jt, m1t, mt - m1t)).is_zero():
+                # the row widx(j1, m1) * dim(j2) + widx(j2, m2), in twice-labels
+                row = (at + m1t) // 2 * (bt + 1) + (bt + mt - m1t) // 2
+                out[(row, col)] = HSeries.constant(c, order)
+    n = (at + 1) * (bt + 1)
+    return Matrix.zero(n, n, order)._like(out)
 
 
 def coupled_basis_suite(j1, j2, order):
@@ -614,10 +599,11 @@ def coupled_basis_suite(j1, j2, order):
     n = r1.dim * r2.dim
     out = {}
     c = cg_matrix(j1, j2, order)
-    out["cg_orthogonal"] = c.transpose() * c == Matrix.identity(n, order)
+    ct = c.transpose()
+    out["cg_orthogonal"] = ct * c == Matrix.identity(n, order)
     f = twist_matrix_oracle(j1, j2, order)
     b = f * c
-    binv = c.transpose() * f.inverse_unipotent()
+    binv = ct * f.inverse_unipotent()
     out["b_inverse"] = binv * b == Matrix.identity(n, order)
 
     # the coupled basis runs over the spins k ascending, weights ascending

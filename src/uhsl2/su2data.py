@@ -114,10 +114,10 @@ def nabla(a, b, c):
 
 def bracket_coeff(k, j, jp):
     """Reduced product coefficient 2^(k-j-j') (2k+1)^(-1/2) nabla(k, j, j')."""
+    n = nabla(k, j, jp)
     k, j, jp = HalfInt.of(k), HalfInt.of(j), HalfInt.of(jp)
-    if not triangle_ok(k, j, jp):
-        return RadicalSum.zero()
-    return nabla(k, j, jp) * sqrt_ratio(1, k.twice + 1, 1, 2 ** (j + jp - k).as_int())
+    # nabla is zero off a triangle; on one, j + j' - k is an integer
+    return n if n.is_zero() else n * sqrt_ratio(1, k.twice + 1, 1, 2 ** (j + jp - k).as_int())
 
 
 def product_norm(j, jp, k):

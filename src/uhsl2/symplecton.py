@@ -80,7 +80,7 @@ def hypergeometric_form(j, m, order):
 
     npows = accumulate(repeat(WeylElement.monomial(1, 1, order), JM), mul,
                        initial=WeylElement.one(order))
-    norm = symplecton_pivot(j, m) * Fraction(1, 2 ** K)
+    norm = symplecton_pivot(j, m) / 2 ** K
     return combine(((poly.coeff(t) * norm, npow) for t, npow in enumerate(npows)),
                    WeylElement.zero(order)) * WeylElement.monomial(0, -ms, order)
 

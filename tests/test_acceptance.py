@@ -11,13 +11,13 @@ import random
 
 from uhsl2.scalar import (HSeries, RadicalSum, HalfInt, half_range, weights,
                           spins_up_to, sqrt_ratio)
-from uhsl2.su2data import verify_racah_identity
+from uhsl2.su2data import cgc, verify_racah_identity
 from uhsl2.weyl import (WeylElement, OscElement, classical_symplecton,
                         h_symplecton, to_oscillator, exp_m_sigma)
 from uhsl2.reps import (Matrix, anti_transpose, cg_matrix, cocycle_check,
                         coupled_basis_suite, ohn_suite, qybe_check,
                         r_triangularity_check, twist_matrix_formula,
-                        twist_matrix_oracle, twisted_hopf_suite)
+                        twist_matrix_oracle, twisted_hopf_suite, widx)
 from uhsl2.symplecton import (generating_function_check, h_symplecton_forms_check,
                               hypergeometric_form, product_law_suite,
                               symmetry_check, tensor_operator_check,
@@ -226,13 +226,31 @@ def test_13_representation_matrix_elements():
         assert ok, f"coalgebra property fails at spin {j}: {detail}"
 
 
+def _cg_entries(j1, j2, order):
+    """The nonzero entries of the coupling matrix from the per-label
+    coefficients: columns over (j, m), spins then weights ascending, rows
+    over (m1, m2), the first leg slow."""
+    spins = half_range(HalfInt(abs(j1.twice - j2.twice)), j1 + j2)
+    cols = [(j, m) for j in spins for m in weights(j)]
+    n2 = len(weights(j2))
+    out = {}
+    for col, (j, m) in enumerate(cols):
+        for m1 in weights(j1):
+            m2 = m - m1
+            if m2 in weights(j2) and not (c := cgc(j1, j2, j, m1, m2)).is_zero():
+                out[(widx(j1, m1) * n2 + widx(j2, m2), col)] = HSeries.constant(c, order)
+    return out
+
+
 def test_14_property_suites():
     spins = spins_up_to(HalfInt(6))
-    for j1 in spins:
-        for j2 in spins:
-            mat = cg_matrix(j1, j2, 0)
-            assert mat.transpose() * mat == Matrix.identity(mat.nrows, 0), \
-                f"coupling matrix not orthogonal at ({j1},{j2})"
+    pairs = [(j1, j2, 0) for j1 in spins for j2 in spins] + [(HalfInt(3), HalfInt(2), 8)]
+    for j1, j2, order in pairs:
+        mat = cg_matrix(j1, j2, order)
+        assert mat.transpose() * mat == Matrix.identity(mat.nrows, order), \
+            f"coupling matrix not orthogonal at ({j1},{j2})"
+        assert dict(mat.terms) == _cg_entries(j1, j2, order), \
+            f"coupling matrix entries differ from cgc at ({j1},{j2}), order {order}"
 
     assert qybe_check(HALF, HALF, HALF, ORDER), "Yang-Baxter fails at spin 1/2"
     assert r_triangularity_check(HALF, HALF, ORDER), "triangularity fails"
